@@ -8,8 +8,7 @@ import argparse
 import json
 import sys
 
-from ehresmann import coherence as co
-from ehresmann.psdp import IntegersAdd, PSetElement
+from ehresmann.cli import CHECKS
 
 
 def main() -> int:
@@ -19,29 +18,17 @@ def main() -> int:
     args = ap.parse_args()
     N = args.depth
 
-    reports = {}
-    for name, build, n in (
-        ("forbidden-config/fi", co.instance_fi, N),
-        ("forbidden-config/freemonoid", co.instance_freemonoid, N),
-        ("forbidden-config/mm", co.instance_mm, min(N, 4)),
-        ("forbidden-config/fad", co.instance_fad, N),
-    ):
-        ctx, a, b, e = build()[:4]
-        reports[name] = co.check_forbidden_config(a, b, e, n, ctx)
-
-    Z = IntegersAdd()
-    g = PSetElement(Z, frozenset(), 1)
-    h = PSetElement(Z, frozenset(), -1)
-    e = PSetElement(Z, frozenset({0}), 0)
-    reports["bgr/S(Z)"] = co.check_bgr_config(g, h, e, N, co.SdpContext(Z))
-    from ehresmann.expansions import qn_from_sdp
-
-    q3 = co.QnContext(Z, 3)
-    reports["bgr/Q3(Z)"] = co.check_bgr_config(
-        qn_from_sdp(g, 3), qn_from_sdp(h, 3), qn_from_sdp(e, 3), N, q3
-    )
-    reports["ghe/Q3(Z)"] = co.check_ghe_quotient_conditions(1, N, q3)
-    reports["triangle/S(x*)"] = co.check_triangle(min(N, 3))
+    sweep = [
+        (f"forbidden-config/{example}", "forbidden-config",
+         {"example": example, "depth": min(N, 4) if example == "mm" else N})
+        for example in ("fi", "freemonoid", "mm", "fad")
+    ] + [
+        ("bgr/S(Z)", "bgr", {"model": "sdp:Z", "depth": N}),
+        ("bgr/Q3(Z)", "bgr", {"model": "qn:3", "depth": N}),
+        ("ghe/Q3(Z)", "ghe", {"model": "qn:3", "depth": N}),
+        ("triangle/S(x*)", "triangle", {"depth": min(N, 3)}),
+    ]
+    reports = {name: CHECKS[check](**params) for name, check, params in sweep}
 
     worst = 0
     for name, rep in sorted(reports.items()):

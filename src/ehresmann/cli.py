@@ -10,22 +10,24 @@ ample / left ample), sdp:Z, sdp:F (power-set semidirect products), mm
 (size-truncated quotient of S(Z)).  In sdp:Z and qn:<n> the letters g, h, e
 denote the standard triple ((0,+1), (0,-1), ({0},0)).
 
-Check exit codes: 0 pass, 1 fail, 2 inconclusive.
+Check exit codes: 0 pass, 1 fail, 2 inconclusive; errors, including a
+negative --depth or --bound, also exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from . import coherence as co
 from . import embed_theta as et
 from . import expansions as ex
-from . import normalform as nf
-from . import psdp, scheiblich as sch, words, xtree
+from . import psdp, scheiblich as sch, xtree
+from .structures import get_structure
 
 
 # ---------------------------------------------------------------------------
@@ -100,267 +102,10 @@ def term_atoms(node) -> List[str]:
     return [a for child in node[1:] if isinstance(child, tuple) for a in term_atoms(child)]
 
 
-# ---------------------------------------------------------------------------
-# models
-
-class Model:
-    name = "model"
-
-    def atom(self, letter: str):
-        raise NotImplementedError
-
-    one: Any = None
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def plus(self, a):
-        raise ValueError(f"^+ is not defined in model {self.name}")
-
-    def star(self, a):
-        raise ValueError(f"^* is not defined in model {self.name}")
-
-    def inv(self, a):
-        raise ValueError(f"^-1 is not defined in model {self.name}")
-
-    def finish(self, a):
-        return a
-
-    def render(self, a, fmt: str) -> str:
-        if fmt == "text":
-            return repr(a)
-        if fmt == "json":
-            payload = a.to_json() if hasattr(a, "to_json") else repr(a)
-            return json.dumps(payload, indent=2, sort_keys=True)
-        raise ValueError(f"format {fmt} not supported by model {self.name}")
-
-    def eval(self, node):
-        kind = node[0]
-        if kind == "one":
-            return self.one
-        if kind == "atom":
-            return self.atom(node[1])
-        if kind == "mul":
-            return self.mul(self.eval(node[1]), self.eval(node[2]))
-        return {"plus": self.plus, "star": self.star, "inv": self.inv}[kind](
-            self.eval(node[1])
-        )
-
-
-class TreeModel(Model):
-    def __init__(self, left_only: bool):
-        self.name = "flad" if left_only else "fad"
-        self.left_only = left_only
-        self.one = xtree.IDENTITY_TREE
-
-    def atom(self, letter):
-        return xtree.letter_tree(letter)
-
-    def mul(self, a, b):
-        return xtree.tree_multiply(a, b)
-
-    def plus(self, a):
-        return xtree.tree_plus(a)
-
-    def star(self, a):
-        if self.left_only:
-            raise ValueError("^* is not defined in model flad")
-        return xtree.tree_star(a)
-
-    def render(self, a, fmt):
-        if fmt == "dot":
-            return a.to_dot()
-        return super().render(a, fmt)
-
-
-class MunnModel(Model):
-    def __init__(self, flavor: str):
-        self.name = flavor  # fi | fa | fla
-        self.one = sch.MUNN_ONE
-
-    def atom(self, letter):
-        return sch.munn_from_word(((letter, 1),))
-
-    def mul(self, a, b):
-        return sch.munn_multiply(a, b)
-
-    def plus(self, a):
-        return sch.munn_plus(a)
-
-    def star(self, a):
-        return sch.munn_star(a)
-
-    def inv(self, a):
-        # fa/fla terms evaluate in the free inverse monoid; membership in the
-        # sub-monoid is checked on the final result only
-        return sch.munn_inverse(a)
-
-    def finish(self, a):
-        if self.name == "fa" and not sch.in_FA(a):
-            raise ValueError("result lies outside the free ample monoid")
-        if self.name == "fla" and not sch.in_FLA(a):
-            raise ValueError("result lies outside the free left ample monoid")
-        return a
-
-
-def _ghe_triple(base):
-    return {
-        "g": psdp.PSetElement(base, frozenset(), 1),
-        "h": psdp.PSetElement(base, frozenset(), -1),
-        "e": psdp.PSetElement(base, frozenset({0}), 0),
-    }
-
-
-class SdpZModel(Model):
-    name = "sdp:Z"
-
-    def __init__(self):
-        self.base = psdp.IntegersAdd()
-        self.one = psdp.sdp_identity(self.base)
-        self.letters = _ghe_triple(self.base)
-
-    def atom(self, letter):
-        if letter not in self.letters:
-            raise ValueError("model sdp:Z only has the letters g, h, e")
-        return self.letters[letter]
-
-    def mul(self, a, b):
-        return psdp.sdp_multiply(a, b)
-
-    def plus(self, a):
-        return psdp.sdp_plus(a)
-
-    def star(self, a):
-        return psdp.sdp_star(a)
-
-    def inv(self, a):
-        return psdp.sdp_inverse(a)
-
-
-class SdpFreeModel(Model):
-    name = "sdp:F"
-
-    def __init__(self, alphabet):
-        self.base = psdp.FreeGroup(tuple(sorted(alphabet)) or ("x",))
-        self.one = psdp.sdp_identity(self.base)
-
-    def atom(self, letter):
-        g = ((letter, 1),)
-        return psdp.PSetElement(self.base, frozenset({(), g}), g)
-
-    mul = SdpZModel.mul
-    plus = SdpZModel.plus
-    star = SdpZModel.star
-    inv = SdpZModel.inv
-
-
-class MMModel(Model):
-    name = "mm"
-
-    def __init__(self, alphabet):
-        self.base = psdp.FreeGroup(tuple(sorted(alphabet)) or ("x",))
-        self.one = ex.mm_identity(self.base)
-
-    def atom(self, letter):
-        return ex.mm_generator(self.base, letter)
-
-    def mul(self, a, b):
-        return ex.mm_multiply(a, b)
-
-    def plus(self, a):
-        return ex.mm_plus(a)
-
-    def star(self, a):
-        return ex.mm_star(a)
-
-    def inv(self, a):
-        return ex.mm_inverse(a)
-
-
-class SzModel(Model):
-    name = "sz"
-
-    def __init__(self, alphabet):
-        self.base = psdp.FreeGroup(tuple(sorted(alphabet)) or ("x",))
-        self.one = ex.sz_identity(self.base)
-
-    def atom(self, letter):
-        return ex.sz_generator(self.base, letter)
-
-    def mul(self, a, b):
-        return ex.sz_multiply(a, b)
-
-    def inv(self, a):
-        return ex.sz_inverse(a)
-
-    def render(self, a, fmt):
-        if fmt == "json":
-            payload = {
-                "set": sorted(repr(e) for e in a.elems),
-                "point": repr(a.point),
-            }
-            return json.dumps(payload, indent=2, sort_keys=True)
-        return super().render(a, fmt)
-
-
-class QnModel(Model):
-    def __init__(self, n: int):
-        self.name = f"qn:{n}"
-        self.n = n
-        self.base = psdp.IntegersAdd()
-        self.one = ex.qn_identity(self.base, n)
-        self.letters = {
-            k: ex.qn_from_sdp(v, n) for k, v in _ghe_triple(self.base).items()
-        }
-
-    def atom(self, letter):
-        if letter not in self.letters:
-            raise ValueError(f"model {self.name} only has the letters g, h, e")
-        return self.letters[letter]
-
-    def mul(self, a, b):
-        return ex.qn_multiply(a, b)
-
-    def plus(self, a):
-        return ex.qn_plus(a)
-
-    def star(self, a):
-        return ex.qn_star(a)
-
-    def inv(self, a):
-        return ex.qn_inverse(a)
-
-    def render(self, a, fmt):
-        if fmt == "json":
-            elems = "Top" if a.elems is ex.TOP else sorted(a.elems)
-            return json.dumps({"set": elems, "point": a.point}, indent=2)
-        return super().render(a, fmt)
-
-
-def get_model(name: str, alphabet) -> Model:
-    if name == "fad":
-        return TreeModel(False)
-    if name == "flad":
-        return TreeModel(True)
-    if name in ("fi", "fa", "fla"):
-        return MunnModel(name)
-    if name == "sdp:Z":
-        return SdpZModel()
-    if name in ("sdp:F", "sdp:free"):
-        return SdpFreeModel(alphabet)
-    if name == "mm":
-        return MMModel(alphabet)
-    if name == "sz":
-        return SzModel(alphabet)
-    if name.startswith("qn:"):
-        return QnModel(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown model {name!r}")
-
-
 def eval_term(text: str, model_name: str):
     node = parse_term(text)
-    model = get_model(model_name, set(term_atoms(node)))
-    return model, model.finish(model.eval(node))
+    structure = get_structure(model_name, set(term_atoms(node)))
+    return structure, structure.finish(structure.eval(node))
 
 
 def cx_from_term(text: str) -> et.CXWord:
@@ -377,8 +122,7 @@ def cx_from_term(text: str) -> et.CXWord:
         elif n[0] == "atom":
             letters.append((n[1],))
         elif n[0] == "plus":
-            tm = TreeModel(True)
-            letters.append(xtree.tree_plus(tm.eval(n[1])))
+            letters.append(xtree.tree_plus(get_structure("flad").eval(n[1])))
         else:
             raise ValueError("C-words only support letters, products and ^+")
 
@@ -387,151 +131,176 @@ def cx_from_term(text: str) -> et.CXWord:
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks: CHECKS[name](**params) -> ConfigReport, where params are the
+# options of `ehres check` (unused ones are ignored)
 
-def _report_exit(report: co.ConfigReport, as_json: bool = True) -> int:
+def _size(what: str, value: Optional[int], default: int) -> int:
+    """The default only when no value was given; a negative one is an error."""
+    if value is None:
+        return default
+    if value < 0:
+        raise ValueError(f"{what} must not be negative, got {value}")
+    return value
+
+
+def _forbidden_config(model=None, depth=None, example=None, a=None, b=None, **_):
+    N = _size("depth", depth, 5)
+    if a or b:
+        name = get_structure(model or "fad").name
+        if name not in ("fad", "flad"):
+            raise ValueError("term overrides are supported for tree models only")
+        # the terms are read in the chosen model, but L~ needs FAd's *
+        ctx = get_structure("fad")
+        a_val = eval_term(a or "1", name)[1]
+        b_val = eval_term(b or "1", name)[1]
+        e = lambda i: ctx.plus(ctx.mul(b_val, ctx.power(a_val, i)))
+    else:
+        example = example or "fi"
+        if example not in ("fi", "freemonoid", "mm", "fad"):
+            raise ValueError(f"unknown example {example!r}")
+        ctx, a_val, b_val, e = getattr(co, "instance_" + example)()[:4]
+    return co.check_forbidden_config(a_val, b_val, e, N, ctx)
+
+
+def _bgr(model=None, depth=None, **_):
+    N = _size("depth", depth, 5)
+    ctx = get_structure(model or "sdp:Z")
+    if not (ctx.name == "sdp:Z" or ctx.name.startswith("qn:")):
+        raise ValueError("bgr runs in sdp:Z or qn:<n>")
+    g, h, e = (ctx.atom(x) for x in "ghe")
+    return co.check_bgr_config(g, h, e, N, ctx)
+
+
+def _ghe(model=None, depth=None, **_):
+    N = _size("depth", depth, 4)
+    ctx = get_structure(model or "qn:3")
+    if not ctx.name.startswith("qn:"):
+        raise ValueError("ghe runs in qn:<n>")
+    return co.check_ghe_quotient_conditions(1, N, ctx)
+
+
+def _triangle(depth=None, **_):
+    return co.check_triangle(_size("depth", depth, 3))
+
+
+def _lemma_m_n(depth=None, **_):
+    N = _size("depth", depth, 3)
+    ctx, a, b, tri, _ = co.triangle_config(N)
+    wits = []
+    for i in range(1, N + 1):
+        # u b a^i = b a^i needs the marked power to land in the i-th
+        # shifted copy of T, and to miss all earlier shifted copies
+        s = 2 * (i - 1) + tri[2 * i] + 1
+        u = psdp.PSetElement(ctx.base, frozenset({("x",) * s}), ())
+        wits.append((u, ctx.one))
+    universe = [ctx.one, b] + [u for u, _ in wits[:2]]
+    return co.check_lemma_m_n(a, b, wits, N, universe, ctx)
+
+
+def _annihilator(term=None, **_):
+    t = eval_term(term or "b a^+", "flad")[1]
+    gens = co.right_annihilator_FLAd(t)
+    notes = [
+        f"r(T) generated by {len(gens.pairs)} pair(s)",
+        *(f"(1, {f!r})" for _, f in sorted(gens.pairs, key=repr)),
+    ]
+    return co.ConfigReport("pass", 0, [], notes)
+
+
+def _left_intersect(s=None, t=None, **_):
+    S = eval_term(s or "a", "flad")[1]
+    T = eval_term(t or "b", "flad")[1]
+    res = co.left_ideal_intersection_FLAd(S, T)
+    verdict = "pass" if res.conclusive else "inconclusive"
+    notes = [f"kind={res.kind}"]
+    if res.generator is not None:
+        notes.append(f"generator={res.generator!r}")
+    if res.note:
+        notes.append(res.note)
+    return co.ConfigReport(verdict, 0, [], notes)
+
+
+def _right_intersect(s=None, t=None, bound=None, **_):
+    S = eval_term(s or "a", "flad")[1]
+    T = eval_term(t or "b", "flad")[1]
+    cap = _size("bound", bound, len(S.edges) + len(T.edges) + 4)
+    Z = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
+    notes = [f"|Z| = {len(Z)} at edge cap {cap}"] + [repr(v) for v in Z]
+    return co.ConfigReport("pass", cap, [], notes)
+
+
+def _mm_fi_iso(bound=None, **_):
+    bound = _size("bound", bound, 4)
+    base = psdp.FreeGroup(("x", "y"))
+    sig = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+    failures = []
+    stack = [((), ex.mm_identity(base), sch.MUNN_ONE)]
+    while stack:
+        seq, mm, mun = stack.pop()
+        if ex.mm_to_munn(mm) != mun or ex.munn_to_mm(base, mun) != mm:
+            failures.append(("iso", {"word": seq}))
+        if len(seq) < bound:
+            for letter in sig:
+                gen = ex.mm_generator(base, letter[0])
+                step = gen if letter[1] == 1 else ex.mm_inverse(gen)
+                stack.append(
+                    (
+                        seq + (letter,),
+                        ex.mm_multiply(mm, step),
+                        sch.munn_multiply(mun, sch.munn_from_word((letter,))),
+                    )
+                )
+    return co._finish(bound, failures)
+
+
+def _theta_morphism(gamma=None, delta=None, bound=None, **_):
+    bound = _size("bound", bound, 2)
+    if gamma or delta:
+        c = cx_from_term(gamma or "1")
+        d = cx_from_term(delta or "1")
+        ok = et.theta_morphism_check(c, d)
+        failures = [] if ok else [("theta", {"gamma": repr(c), "delta": repr(d)})]
+        return co._finish(0, failures)
+    letters: List[Any] = [("a",), ("b",)]
+    letters += [xtree.tree_plus(xtree.letter_tree(x)) for x in "ab"]
+    cxs = [
+        et.CXWord.make(list(seq))
+        for k in range(bound + 1)
+        for seq in itertools.product(letters, repeat=k)
+    ]
+    cxs = list(dict.fromkeys(cxs))
+    failures = []
+    for c in cxs:
+        for d in cxs:
+            if not et.theta_morphism_check(c, d):
+                failures.append(("theta", {"gamma": repr(c), "delta": repr(d)}))
+    return co._finish(bound, failures)
+
+
+CHECKS = {
+    "forbidden-config": _forbidden_config,
+    "bgr": _bgr,
+    "ghe": _ghe,
+    "triangle": _triangle,
+    "lemma-m-n": _lemma_m_n,
+    "annihilator": _annihilator,
+    "left-intersect": _left_intersect,
+    "right-intersect": _right_intersect,
+    "mm-fi-iso": _mm_fi_iso,
+    "theta-morphism": _theta_morphism,
+}
+
+
+def _report_exit(report: co.ConfigReport) -> int:
     print(json.dumps(report.to_json(), indent=2, sort_keys=True, default=repr))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.verdict]
 
 
 def run_check(name: str, args) -> int:
-    depth = args.depth
-    if name == "forbidden-config":
-        if args.a or args.b:
-            model = get_model(args.model or "fad", set())
-            if not isinstance(model, TreeModel):
-                raise ValueError("term overrides are supported for tree models only")
-            ctx = co.TreeContext()
-            a = eval_term(args.a or "1", model.name)[1]
-            b = eval_term(args.b or "1", model.name)[1]
-            e = lambda i: ctx.plus(ctx.multiply(b, ctx.power(a, i)))
-        else:
-            example = args.example or "fi"
-            builders = {
-                "fi": co.instance_fi,
-                "freemonoid": co.instance_freemonoid,
-                "mm": co.instance_mm,
-                "fad": co.instance_fad,
-            }
-            if example not in builders:
-                raise ValueError(f"unknown example {example!r}")
-            ctx, a, b, e = builders[example]()[:4]
-        return _report_exit(co.check_forbidden_config(a, b, e, depth or 5, ctx))
-    if name == "bgr":
-        model = get_model(args.model or "sdp:Z", set())
-        if not isinstance(model, (SdpZModel, QnModel)):
-            raise ValueError("bgr runs in sdp:Z or qn:<n>")
-        g, h, e = model.atom("g"), model.atom("h"), model.atom("e")
-        ctx = (
-            co.SdpContext(model.base)
-            if isinstance(model, SdpZModel)
-            else co.QnContext(model.base, model.n)
-        )
-        return _report_exit(co.check_bgr_config(g, h, e, depth or 5, ctx))
-    if name == "ghe":
-        model = get_model(args.model or "qn:3", set())
-        if not isinstance(model, QnModel):
-            raise ValueError("ghe runs in qn:<n>")
-        ctx = co.QnContext(model.base, model.n)
-        return _report_exit(co.check_ghe_quotient_conditions(1, depth or 4, ctx))
-    if name == "triangle":
-        return _report_exit(co.check_triangle(depth or 3))
-    if name == "lemma-m-n":
-        base = psdp.FreeMonoid(("x",))
-        N = depth or 3
-        tri = co.odd_triangulars(2 * N + 2)
-        window = 2 * N + 1 + tri[-1]
-        tset = frozenset(("x",) * t for t in co.odd_triangulars(window) if t <= window)
-        a = psdp.PSetElement(base, tset, ("x", "x"))
-        b = psdp.PSetElement(base, frozenset({()}), ("x",))
-        wits = []
-        for i in range(1, N + 1):
-            # u b a^i = b a^i needs the marked power to land in the i-th
-            # shifted copy of T, and to miss all earlier shifted copies
-            s = 2 * (i - 1) + tri[2 * i] + 1
-            u = psdp.PSetElement(base, frozenset({("x",) * s}), ())
-            wits.append((u, psdp.sdp_identity(base)))
-        universe = [psdp.sdp_identity(base), b] + [u for u, _ in wits[:2]]
-        report = co.check_lemma_m_n(a, b, wits, N, universe, co.SdpContext(base))
-        return _report_exit(report)
-    if name == "annihilator":
-        t = eval_term(args.term or "b a^+", "flad")[1]
-        gens = co.right_annihilator_FLAd(t)
-        report = co.ConfigReport(
-            "pass",
-            0,
-            [],
-            [
-                f"r(T) generated by {len(gens.pairs)} pair(s)",
-                *(f"(1, {f!r})" for _, f in sorted(gens.pairs, key=repr)),
-            ],
-        )
-        return _report_exit(report)
-    if name == "left-intersect":
-        s = eval_term(args.s or "a", "flad")[1]
-        t = eval_term(args.t or "b", "flad")[1]
-        res = co.left_ideal_intersection_FLAd(s, t)
-        verdict = "pass" if res.conclusive else "inconclusive"
-        notes = [f"kind={res.kind}"]
-        if res.generator is not None:
-            notes.append(f"generator={res.generator!r}")
-        if res.note:
-            notes.append(res.note)
-        return _report_exit(co.ConfigReport(verdict, 0, [], notes))
-    if name == "right-intersect":
-        s = eval_term(args.s or "a", "flad")[1]
-        t = eval_term(args.t or "b", "flad")[1]
-        bound = args.bound or (len(s.edges) + len(t.edges) + 4)
-        Z = co.right_ideal_intersection_FLAd(s, t, max_edges=bound, factor_edges=bound)
-        notes = [f"|Z| = {len(Z)} at edge cap {bound}"] + [repr(v) for v in Z]
-        return _report_exit(co.ConfigReport("pass", bound, [], notes))
-    if name == "mm-fi-iso":
-        bound = args.bound or 4
-        base = psdp.FreeGroup(("x", "y"))
-        sig = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
-        failures = []
-        stack = [((), ex.mm_identity(base), sch.MUNN_ONE)]
-        while stack:
-            seq, mm, mun = stack.pop()
-            if ex.mm_to_munn(mm) != mun or ex.munn_to_mm(base, mun) != mm:
-                failures.append(("iso", {"word": seq}))
-            if len(seq) < bound:
-                for letter in sig:
-                    gen = ex.mm_generator(base, letter[0])
-                    step = gen if letter[1] == 1 else ex.mm_inverse(gen)
-                    stack.append(
-                        (
-                            seq + (letter,),
-                            ex.mm_multiply(mm, step),
-                            sch.munn_multiply(mun, sch.munn_from_word((letter,))),
-                        )
-                    )
-        return _report_exit(co._finish(bound, failures))
-    if name == "theta-morphism":
-        if args.gamma or args.delta:
-            c = cx_from_term(args.gamma or "1")
-            d = cx_from_term(args.delta or "1")
-            ok = et.theta_morphism_check(c, d)
-            failures = [] if ok else [("theta", {"gamma": repr(c), "delta": repr(d)})]
-            return _report_exit(co._finish(0, failures))
-        bound = args.bound or 2
-        letters: List[Any] = [("a",), ("b",)]
-        letters += [xtree.tree_plus(xtree.letter_tree(x)) for x in "ab"]
-        import itertools
-
-        cxs = [
-            et.CXWord.make(list(seq))
-            for k in range(bound + 1)
-            for seq in itertools.product(letters, repeat=k)
-        ]
-        cxs = list(dict.fromkeys(cxs))
-        failures = []
-        for c in cxs:
-            for d in cxs:
-                if not et.theta_morphism_check(c, d):
-                    failures.append(("theta", {"gamma": repr(c), "delta": repr(d)}))
-        return _report_exit(co._finish(bound, failures))
-    raise ValueError(f"unknown check {name!r}")
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "name")}
+    return _report_exit(CHECKS[name](**params))
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +315,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_eval.add_argument("--format", default="json", choices=("json", "dot", "text"))
 
     p_check = sub.add_parser("check", help="run a certificate check")
-    p_check.add_argument(
-        "name",
-        choices=(
-            "forbidden-config", "bgr", "ghe", "triangle", "lemma-m-n",
-            "annihilator", "left-intersect", "right-intersect",
-            "mm-fi-iso", "theta-morphism",
-        ),
-    )
+    p_check.add_argument("name", choices=tuple(CHECKS))
     p_check.add_argument("--model")
     p_check.add_argument("--depth", type=int)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--bound", type=int)
     p_check.add_argument("--example")
     p_check.add_argument("--a")
@@ -570,12 +331,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
-            model, value = eval_term(args.term, args.model)
-            print(model.render(value, args.format))
+            structure, value = eval_term(args.term, args.model)
+            print(structure.render(value, args.format))
             return 0
         return run_check(args.name, args)
     except (ValueError, xtree.ResourceGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as err:
+        # deep inputs exhaust the stack of the recursive tree algorithms
+        print(f"error: input too large to compute ({type(err).__name__}: {err})",
+              file=sys.stderr)
         return 1
 
 

@@ -12,129 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import expansions, normalform, psdp, xtree
-from .expansions import MMElement, QnElement, mm_multiply, mm_plus, mm_star, qn_multiply
-from .psdp import BaseMonoid, PSetElement, sdp_multiply, sdp_plus, sdp_star
-from .words import Word, is_suffix
-from .xtree import XTree, tree_multiply, tree_plus, tree_star
-
-
-# ---------------------------------------------------------------------------
-# contexts
-
-class EhresmannContext:
-    """Multiplication plus the *, + unary operations and the L~-preorder."""
-
-    identity: Any
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def star(self, a):
-        raise NotImplementedError
-
-    def plus(self, a):
-        raise NotImplementedError
-
-    def is_E_idempotent(self, a) -> bool:
-        return a == self.plus(a) or a == self.star(a)
-
-    def leq_Ltilde(self, a, b) -> bool:
-        return self.multiply(a, self.star(b)) == a
-
-    def power(self, a, n: int):
-        acc = self.identity
-        for _ in range(n):
-            acc = self.multiply(acc, a)
-        return acc
-
-    def describe(self, a) -> Any:
-        return repr(a)
-
-
-class SdpContext(EhresmannContext):
-    """S(G) for a group base G."""
-
-    def __init__(self, base: BaseMonoid):
-        self.base = base
-        self.identity = psdp.sdp_identity(base)
-
-    def multiply(self, a: PSetElement, b: PSetElement) -> PSetElement:
-        return sdp_multiply(a, b)
-
-    def star(self, a: PSetElement) -> PSetElement:
-        return sdp_star(a)
-
-    def plus(self, a: PSetElement) -> PSetElement:
-        return sdp_plus(a)
-
-    def is_E_idempotent(self, a: PSetElement) -> bool:
-        return psdp.sdp_is_idempotent(a)
-
-    def describe(self, a: PSetElement) -> Any:
-        return a.to_json()
-
-
-class MMContext(EhresmannContext):
-    def __init__(self, base: BaseMonoid):
-        self.base = base
-        self.identity = expansions.mm_identity(base)
-
-    def multiply(self, a: MMElement, b: MMElement) -> MMElement:
-        return mm_multiply(a, b)
-
-    def star(self, a: MMElement) -> MMElement:
-        return mm_star(a)
-
-    def plus(self, a: MMElement) -> MMElement:
-        return mm_plus(a)
-
-    def is_E_idempotent(self, a: MMElement) -> bool:
-        return a.point == self.base.identity()
-
-
-class QnContext(EhresmannContext):
-    """Q_n(G), the size-truncated quotient of S(G)."""
-
-    def __init__(self, base: BaseMonoid, n: int):
-        self.base = base
-        self.n = n
-        self.identity = expansions.qn_identity(base, n)
-
-    def multiply(self, a: QnElement, b: QnElement) -> QnElement:
-        return qn_multiply(a, b)
-
-    def star(self, a: QnElement) -> QnElement:
-        return expansions.qn_star(a)
-
-    def plus(self, a: QnElement) -> QnElement:
-        return expansions.qn_plus(a)
-
-    def is_E_idempotent(self, a: QnElement) -> bool:
-        return a.point == self.base.identity()
-
-
-class TreeContext(EhresmannContext):
-    """The pruned-tree monoid (free Ehresmann / left Ehresmann)."""
-
-    identity = xtree.IDENTITY_TREE
-
-    def multiply(self, a: XTree, b: XTree) -> XTree:
-        return tree_multiply(a, b)
-
-    def star(self, a: XTree) -> XTree:
-        return tree_star(a)
-
-    def plus(self, a: XTree) -> XTree:
-        return tree_plus(a)
-
-    def is_E_idempotent(self, a: XTree) -> bool:
-        return xtree.is_idempotent(a)
-
-    def describe(self, a: XTree) -> Any:
-        return a.to_json()
+from .expansions import MMElement, QnElement
+from .psdp import PSetElement
+from .structures import Structure, get_structure, semidirect
+from .words import is_suffix
+from .xtree import XTree, tree_multiply
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +65,22 @@ class CongGenSet:
 
 
 # ---------------------------------------------------------------------------
-# annihilator relations and Y-sequences
+# annihilator relations
 
-def lambda_related(u, v, a, b, N: int, ctx: EhresmannContext) -> Optional[Tuple[int, int]]:
+def lambda_related(u, v, a, b, N: int, ctx: Structure) -> Optional[Tuple[int, int]]:
     """Least (m, n) with m, n <= N and u b a^m = v b a^n, if any."""
-    ub = ctx.multiply(u, b)
-    vb = ctx.multiply(v, b)
+    ub = ctx.mul(u, b)
+    vb = ctx.mul(v, b)
     upow = [ub]
     vpow = [vb]
     for _ in range(N):
-        upow.append(ctx.multiply(upow[-1], a))
-        vpow.append(ctx.multiply(vpow[-1], a))
+        upow.append(ctx.mul(upow[-1], a))
+        vpow.append(ctx.mul(vpow[-1], a))
     for total in range(0, 2 * N + 1):
         for m in range(0, total + 1):
             n = total - m
             if m <= N and n <= N and upow[m] == vpow[n]:
                 return (m, n)
-    return None
-
-
-def y_sequence_search(
-    Y: CongGenSet, a, b, max_len: int, multipliers: Sequence, ctx: EhresmannContext
-) -> Optional[List[Tuple[Any, Any, Any]]]:
-    """BFS for a Y-sequence from a to b; None means not found at this bound."""
-    pairs = set(Y.pairs) | {(d, c) for c, d in Y.pairs}
-
-    def apply(c, t):
-        return ctx.multiply(c, t) if Y.side == "right" else ctx.multiply(t, c)
-
-    frontier = [(a, [])]
-    seen = {a}
-    for _ in range(max_len):
-        nxt = []
-        for cur, path in frontier:
-            if cur == b:
-                return path
-            for (c, d) in pairs:
-                for t in multipliers:
-                    if apply(c, t) == cur:
-                        new = apply(d, t)
-                        if new not in seen:
-                            seen.add(new)
-                            nxt.append((new, path + [(c, d, t)]))
-        frontier = nxt
-    for cur, path in frontier:
-        if cur == b:
-            return path
     return None
 
 
@@ -238,12 +93,12 @@ def check_lemma_m_n(
     """Lemma-style certificate: (1) relation at (n, m) implies relation at
     (n, n) — sampled; (2) witnesses u_i, v_i related at i but not i-1 — exact."""
     failures: List[Tuple[str, Any]] = []
-    apow = [ctx.identity]
+    apow = [ctx.one]
     for _ in range(N + 1):
-        apow.append(ctx.multiply(apow[-1], a))
+        apow.append(ctx.mul(apow[-1], a))
 
     def uban(u, k):
-        return ctx.multiply(ctx.multiply(u, b), apow[k])
+        return ctx.mul(ctx.mul(u, b), apow[k])
 
     for u, v in itertools.product(sample_universe, repeat=2):
         for n in range(N + 1):
@@ -263,13 +118,13 @@ def check_lemma_m_n(
     return _finish(N, failures, notes)
 
 
-def check_forbidden_config(a, b, e_stream, N: int, ctx: EhresmannContext) -> ConfigReport:
+def check_forbidden_config(a, b, e_stream, N: int, ctx: Structure) -> ConfigReport:
     """b a^i pairwise L~-incomparable; e_i idempotent with
     e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1}."""
     failures: List[Tuple[str, Any]] = []
     ba = [b]
     for _ in range(N):
-        ba.append(ctx.multiply(ba[-1], a))
+        ba.append(ctx.mul(ba[-1], a))
     for i in range(N + 1):
         for j in range(N + 1):
             if i != j and ctx.leq_Ltilde(ba[i], ba[j]):
@@ -278,20 +133,20 @@ def check_forbidden_config(a, b, e_stream, N: int, ctx: EhresmannContext) -> Con
     for i, e in enumerate(es, start=1):
         if not ctx.is_E_idempotent(e):
             failures.append(("idempotent", {"i": i}))
-        if ctx.multiply(e, ba[i]) != ba[i]:
+        if ctx.mul(e, ba[i]) != ba[i]:
             failures.append(("fixes", {"i": i}))
-        if ctx.multiply(e, ba[i - 1]) == ba[i - 1]:
+        if ctx.mul(e, ba[i - 1]) == ba[i - 1]:
             failures.append(("moves", {"i": i}))
     return _finish(N, failures)
 
 
-def check_bgr_config(g, h, e, N: int, ctx: EhresmannContext) -> ConfigReport:
+def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
     """The (g, h, e) conditions (0)-(4ii) with exponents bounded by N."""
     failures: List[Tuple[str, Any]] = []
-    mul = ctx.multiply
+    mul = ctx.mul
 
     def prod(*xs):
-        acc = ctx.identity
+        acc = ctx.one
         for x in xs:
             acc = mul(acc, x)
         return acc
@@ -340,9 +195,10 @@ def check_bgr_config(g, h, e, N: int, ctx: EhresmannContext) -> ConfigReport:
     return _finish(N, failures)
 
 
-def check_ghe_quotient_conditions(x, N: int, ctx: QnContext) -> ConfigReport:
+def check_ghe_quotient_conditions(x, N: int, ctx: Structure) -> ConfigReport:
     """The five non-relation families for the subgroup <x> in a quotient
-    of S(M); equality is equality in the quotient (implemented for Q_n)."""
+    of S(M); equality is equality in the quotient (implemented for Q_n,
+    the structure qn:<n>)."""
     failures: List[Tuple[str, Any]] = []
     base = ctx.base
 
@@ -354,7 +210,7 @@ def check_ghe_quotient_conditions(x, N: int, ctx: QnContext) -> ConfigReport:
         return acc
 
     def el(exps) -> QnElement:
-        return QnElement(base, ctx.n, frozenset(xp(k) for k in exps), base.identity())
+        return QnElement(base, ctx.one.n, frozenset(xp(k) for k in exps), base.identity())
 
     def related(p, q) -> bool:
         return p == q
@@ -401,30 +257,36 @@ def odd_triangulars(count: int) -> List[int]:
     return out
 
 
-def check_triangle(N: int, letter: str = "x") -> ConfigReport:
-    """Witnesses u_i, v_i for a = (T, x^2), b = ({1}, x) in S(X*), with the
-    infinite set T of odd-triangular powers materialized up to a window
-    bound large enough for all products compared at depth N."""
-    base = psdp.FreeMonoid((letter,))
+def triangle_config(N: int, letter: str = "x"):
+    """(S(X*), a, b, odd triangulars, window) for a = (T, x^2), b = ({1}, x),
+    with the infinite set T of odd-triangular powers materialized up to a
+    window bound large enough for all products compared at depth N."""
+    ctx = semidirect(psdp.FreeMonoid((letter,)))
     tri = odd_triangulars(2 * N + 2)
     window = 2 * N + 1 + tri[-1]
     tset = frozenset((letter,) * t for t in odd_triangulars(window) if t <= window)
-    tset = frozenset(w for w in tset if len(w) <= window)
-    a = PSetElement(base, tset, (letter,) * 2)
-    b = PSetElement(base, frozenset({()}), (letter,))
+    a = PSetElement(ctx.base, tset, (letter,) * 2)
+    b = PSetElement(ctx.base, frozenset({()}), (letter,))
+    return ctx, a, b, tri, window
+
+
+def check_triangle(N: int, letter: str = "x") -> ConfigReport:
+    """Witnesses u_i, v_i with a^i b u_i = a^i b v_i and
+    a^{i-1} b u_i != a^{i-1} b v_i, for a and b of triangle_config."""
+    ctx, a, b, tri, window = triangle_config(N, letter)
     failures: List[Tuple[str, Any]] = []
-    apow = [psdp.sdp_identity(base)]
+    apow = [ctx.one]
     for _ in range(N):
-        apow.append(sdp_multiply(apow[-1], a))
+        apow.append(ctx.mul(apow[-1], a))
     for i in range(1, N + 1):
         t_exp = tri[2 * i] - 2 * i - 1  # t_{2i+1} with 1-based indexing
-        u = PSetElement(base, frozenset({(letter,) * t_exp}), ())
-        v = PSetElement(base, frozenset(), ())
-        aib = sdp_multiply(apow[i], b)
-        if sdp_multiply(aib, u) != sdp_multiply(aib, v):
+        u = PSetElement(ctx.base, frozenset({(letter,) * t_exp}), ())
+        v = PSetElement(ctx.base, frozenset(), ())
+        aib = ctx.mul(apow[i], b)
+        if ctx.mul(aib, u) != ctx.mul(aib, v):
             failures.append(("eq", {"i": i}))
-        ai1b = sdp_multiply(apow[i - 1], b)
-        if sdp_multiply(ai1b, u) == sdp_multiply(ai1b, v):
+        ai1b = ctx.mul(apow[i - 1], b)
+        if ctx.mul(ai1b, u) == ctx.mul(ai1b, v):
             failures.append(("neq", {"i": i}))
     notes = [f"window bound {window} on powers of {letter}"]
     return _finish(N, failures, notes)
@@ -550,7 +412,7 @@ _ENUM_CACHE: Dict[tuple, Tuple[XTree, ...]] = {}
 
 
 def _enum(labels, max_edges, max_depth=None, budget=500_000) -> Tuple[XTree, ...]:
-    key = (tuple(sorted(labels)), max_edges, max_depth)
+    key = (tuple(sorted(labels)), max_edges, max_depth, budget)
     if key not in _ENUM_CACHE:
         _ENUM_CACHE[key] = xtree.enumerate_trees(
             labels,
@@ -637,7 +499,7 @@ def instance_fi():
             out.add((("g", -1),) * k)
         return frozenset(out)
 
-    return SdpContext(base), a, b, e, star_set
+    return semidirect(base), a, b, e, star_set
 
 
 def instance_freemonoid():
@@ -658,29 +520,27 @@ def instance_freemonoid():
             return frozenset({xp(1)})
         return frozenset({xp(-2 * i + 1)}) | frozenset(xp(2 * (k - i)) for k in range(i + 1))
 
-    return SdpContext(base), a, b, e, star_set
+    return semidirect(base), a, b, e, star_set
 
 
 def instance_mm():
     """M(F_{x,y}): a = (P_x, x), b = (P_y, y), e_i = (P_{y x^i}, 1)."""
-    base = psdp.FreeGroup(("x", "y"))
-    a = expansions.mm_generator(base, "x")
-    b = expansions.mm_generator(base, "y")
+    ctx = get_structure("mm", ("x", "y"))
+    a, b = ctx.atom("x"), ctx.atom("y")
 
     def e(i: int) -> MMElement:
         w = (("y", 1),) + (("x", 1),) * i
-        return mm_plus(expansions.mm_from_word(base, w))
+        return ctx.plus(expansions.mm_from_word(ctx.base, w))
 
-    return MMContext(base), a, b, e
+    return ctx, a, b, e
 
 
 def instance_fad():
     """Pruned trees: a, b generators, e_i = (b a^i)+."""
-    ctx = TreeContext()
-    a = xtree.letter_tree("a")
-    b = xtree.letter_tree("b")
+    ctx = get_structure("fad")
+    a, b = ctx.atom("a"), ctx.atom("b")
 
     def e(i: int) -> XTree:
-        return tree_plus(tree_multiply(b, xtree.tree_power(a, i)))
+        return ctx.plus(ctx.mul(b, ctx.power(a, i)))
 
     return ctx, a, b, e

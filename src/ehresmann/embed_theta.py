@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import words, xtree
-from .normalform import BXLetter, is_word_letter, letter_tree
+from .normalform import BXLetter, is_word_letter, merge
 from .words import GroupWord, Word, format_group_word
 from .xtree import XTree, tree_multiply
 
@@ -34,24 +34,7 @@ class CXWord:
 
     @staticmethod
     def make(letters: Sequence[BXLetter]) -> "CXWord":
-        parts: List[Part] = []
-        for letter in letters:
-            if is_word_letter(letter):
-                if letter == ():
-                    continue
-                if parts and is_word_letter(parts[-1]):
-                    parts[-1] = parts[-1] + letter
-                else:
-                    parts.append(letter)
-            else:
-                t = letter_tree(letter)
-                if len(t.edges) == 0:
-                    continue
-                if parts and not is_word_letter(parts[-1]):
-                    parts[-1] = tree_multiply(parts[-1], t)
-                else:
-                    parts.append(t)
-        return CXWord(tuple(parts))
+        return CXWord(tuple(merge(letters)))
 
     def trunk(self) -> Word:
         out: Word = ()

@@ -147,6 +147,9 @@ class SzElement:
         if self.base.identity() not in self.elems or self.point not in self.elems:
             raise ValueError("set must contain 1 and the point")
 
+    def to_json(self) -> dict:
+        return {"set": sorted(repr(e) for e in self.elems), "point": repr(self.point)}
+
 
 def sz_identity(base: BaseMonoid) -> SzElement:
     one = base.identity()
@@ -206,6 +209,9 @@ class QnElement:
 
     def __repr__(self) -> str:
         return f"Qn({self.elems!r}, {self.point!r})"
+
+    def to_json(self) -> dict:
+        return {"set": "Top" if self.elems is TOP else sorted(self.elems), "point": self.point}
 
 
 def qn_identity(base: BaseMonoid, n: int) -> QnElement:

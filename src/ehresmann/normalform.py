@@ -78,9 +78,9 @@ class NormalForm:
         return "NF[" + " | ".join(bits) + "]"
 
 
-def _merge(letters: Sequence[BXLetter]) -> Tuple[List[Word], List[XTree]]:
-    """Steps (0)+(I): drop identities, merge same-kind neighbours; split
-    the alternating result into word list W (len m+1) and idempotent list E."""
+def merge(letters: Sequence[BXLetter]) -> List[BXLetter]:
+    """Steps (0)+(I): drop identities and merge same-kind neighbours; the
+    result alternates between words and idempotents."""
     parts: List[BXLetter] = []
     for letter in letters:
         if is_word_letter(letter):
@@ -98,7 +98,13 @@ def _merge(letters: Sequence[BXLetter]) -> Tuple[List[Word], List[XTree]]:
                 parts[-1] = tree_multiply(parts[-1], t)
             else:
                 parts.append(t)
-    # parts now strictly alternates; pad with empty words at the ends
+    return parts
+
+
+def normalize(letters: Sequence[BXLetter]) -> NormalForm:
+    """Rewrite a letter sequence to its normal form."""
+    # pad the alternating parts with empty words into t0 e1 t1 ... em tm
+    parts = merge(letters)
     W: List[Word] = []
     E: List[XTree] = []
     if not parts or not is_word_letter(parts[0]):
@@ -107,12 +113,6 @@ def _merge(letters: Sequence[BXLetter]) -> Tuple[List[Word], List[XTree]]:
         (W if is_word_letter(p) else E).append(p)
     if len(W) == len(E):
         W.append(())
-    return W, E
-
-
-def normalize(letters: Sequence[BXLetter]) -> NormalForm:
-    """Rewrite a letter sequence to its normal form."""
-    W, E = _merge(letters)
     j = len(E) - 1
     while j >= 0:
         suffix = eval_to_tree(

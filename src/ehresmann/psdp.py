@@ -159,15 +159,6 @@ def sdp_multiply(p: PSetElement, q: PSetElement) -> PSetElement:
     return PSetElement(base, p.elems | shifted, base.multiply(p.point, q.point))
 
 
-def sdp_power(p: PSetElement, n: int) -> PSetElement:
-    if n < 0:
-        return sdp_power(sdp_inverse(p), -n)
-    acc = sdp_identity(p.base)
-    for _ in range(n):
-        acc = sdp_multiply(acc, p)
-    return acc
-
-
 def sdp_inverse(p: PSetElement) -> PSetElement:
     base = p.base
     gi = base.invert(p.point)

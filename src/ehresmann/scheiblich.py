@@ -86,15 +86,6 @@ def munn_is_idempotent(p: MunnElement) -> bool:
     return p.point == words.GEMPTY
 
 
-def munn_power(p: MunnElement, n: int) -> MunnElement:
-    if n < 0:
-        return munn_power(munn_inverse(p), -n)
-    acc = MUNN_ONE
-    for _ in range(n):
-        acc = munn_multiply(acc, p)
-    return acc
-
-
 def in_FA(p: MunnElement) -> bool:
     """Free ample monoid membership: the point is a positive word."""
     return words.is_positive(p.point)

@@ -1,0 +1,157 @@
+"""One adapter for every monoid that terms and certificates compute in.
+
+A ``Structure`` gives a model (see ``ehres --help`` for the list) its
+identity, generators, product, the unary operations ``+``, ``*`` and
+inverse, powers, the L~-preorder and an O(1) idempotent test, and
+evaluates and renders parsed terms.  Its element functions are
+``<prefix>_multiply``, ``<prefix>_plus``, ``<prefix>_star`` and
+``<prefix>_inverse`` of one module, looked up on the module at every call,
+so rebinding a module attribute (as a tracer does) reaches them.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
+
+from . import expansions as ex
+from . import psdp, scheiblich as sch, xtree
+
+_SYMBOL = {"plus": "^+", "star": "^*", "inverse": "^-1"}
+
+
+def _unchanged(a):
+    return a
+
+
+@dataclass
+class Structure:
+    name: str
+    one: Any
+    atom: Optional[Callable[[str], Any]]
+    module: Any
+    prefix: str
+    unary: Tuple[str, ...] = ("plus", "star", "inverse")
+    base: Any = None
+    idempotent: Optional[Callable[[Any], bool]] = None  # default: point is 1
+    finish: Callable[[Any], Any] = _unchanged  # sub-monoid membership check
+    sort_keys: bool = True  # of the JSON rendering
+
+    def mul(self, a, b):
+        return getattr(self.module, self.prefix + "_multiply")(a, b)
+
+    def _op(self, op: str, a):
+        if op not in self.unary:
+            raise ValueError(f"{_SYMBOL[op]} is not defined in model {self.name}")
+        return getattr(self.module, f"{self.prefix}_{op}")(a)
+
+    def plus(self, a):
+        return self._op("plus", a)
+
+    def star(self, a):
+        return self._op("star", a)
+
+    def inv(self, a):
+        return self._op("inverse", a)
+
+    def power(self, a, n: int):
+        if n < 0:
+            a, n = self.inv(a), -n
+        acc = self.one
+        for _ in range(n):
+            acc = self.mul(acc, a)
+        return acc
+
+    def is_E_idempotent(self, a) -> bool:
+        if self.idempotent is not None:
+            return self.idempotent(a)
+        return a.point == self.one.point
+
+    def leq_Ltilde(self, a, b) -> bool:
+        return self.mul(a, self.star(b)) == a
+
+    def describe(self, a) -> Any:
+        return a.to_json() if hasattr(a, "to_json") else repr(a)
+
+    def render(self, a, fmt: str) -> str:
+        if fmt == "text":
+            return repr(a)
+        if fmt == "json":
+            return json.dumps(self.describe(a), indent=2, sort_keys=self.sort_keys)
+        if fmt == "dot" and hasattr(a, "to_dot"):
+            return a.to_dot()
+        raise ValueError(f"format {fmt} not supported by model {self.name}")
+
+    def eval(self, node):
+        kind = node[0]
+        if kind == "one":
+            return self.one
+        if kind == "atom":
+            return self.atom(node[1])
+        if kind == "mul":
+            return self.mul(self.eval(node[1]), self.eval(node[2]))
+        return {"plus": self.plus, "star": self.star, "inv": self.inv}[kind](
+            self.eval(node[1])
+        )
+
+
+def semidirect(base: psdp.BaseMonoid, name: str = "sdp", atom=None) -> Structure:
+    """S(base), the power-set semidirect product over a base monoid."""
+    return Structure(name, psdp.sdp_identity(base), atom, psdp, "sdp", base=base)
+
+
+def _lookup(name: str, letters: dict) -> Callable[[str], Any]:
+    def atom(letter):
+        if letter not in letters:
+            raise ValueError(f"model {name} only has the letters g, h, e")
+        return letters[letter]
+
+    return atom
+
+
+def _member(test: Callable[[Any], bool], monoid: str) -> Callable[[Any], Any]:
+    def finish(a):
+        if not test(a):
+            raise ValueError(f"result lies outside the {monoid}")
+        return a
+
+    return finish
+
+
+def get_structure(name: str, alphabet=()) -> Structure:
+    """The model called `name`; free-group bases are over `alphabet`."""
+    if name in ("fad", "flad"):
+        unary = ("plus", "star") if name == "fad" else ("plus",)
+        return Structure(name, xtree.IDENTITY_TREE, xtree.letter_tree, xtree, "tree",
+                         unary, idempotent=xtree.is_idempotent)
+    if name in ("fi", "fa", "fla"):
+        # fa/fla terms evaluate in the free inverse monoid; membership in the
+        # sub-monoid is checked on the final result only
+        finish = {"fa": _member(sch.in_FA, "free ample monoid"),
+                  "fla": _member(sch.in_FLA, "free left ample monoid")}.get(name, _unchanged)
+        return Structure(name, sch.MUNN_ONE, lambda x: sch.munn_from_word(((x, 1),)),
+                         sch, "munn", finish=finish)
+    if name == "sdp:Z" or name.startswith("qn:"):
+        Z = psdp.IntegersAdd()
+        ghe = {"g": psdp.PSetElement(Z, frozenset(), 1),
+               "h": psdp.PSetElement(Z, frozenset(), -1),
+               "e": psdp.PSetElement(Z, frozenset({0}), 0)}
+        if name == "sdp:Z":
+            return semidirect(Z, name, _lookup(name, ghe))
+        n = int(name.split(":", 1)[1])
+        name = f"qn:{n}"
+        ghe = {k: ex.qn_from_sdp(v, n) for k, v in ghe.items()}
+        return Structure(name, ex.qn_identity(Z, n), _lookup(name, ghe), ex, "qn",
+                         base=Z, sort_keys=False)
+    F = psdp.FreeGroup(tuple(sorted(alphabet)) or ("x",))
+    if name in ("sdp:F", "sdp:free"):
+        return semidirect(F, "sdp:F", lambda x: psdp.PSetElement(
+            F, frozenset({(), ((x, 1),)}), ((x, 1),)))
+    if name == "mm":
+        return Structure(name, ex.mm_identity(F), lambda x: ex.mm_generator(F, x), ex, "mm",
+                         base=F)
+    if name == "sz":
+        return Structure(name, ex.sz_identity(F), lambda x: ex.sz_generator(F, x), ex, "sz",
+                         ("inverse",), base=F)
+    raise ValueError(f"unknown model {name!r}")

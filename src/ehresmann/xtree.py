@@ -349,13 +349,6 @@ def tree_star(t: RawTree) -> XTree:
     return prune(raw_star(t))
 
 
-def tree_power(t: RawTree, n: int) -> XTree:
-    acc: XTree = IDENTITY_TREE
-    for _ in range(n):
-        acc = tree_multiply(acc, t)
-    return acc
-
-
 def is_idempotent(t: XTree) -> bool:
     return t.start == t.end
 
@@ -387,10 +380,6 @@ def leq_nat(e: XTree, f: XTree) -> bool:
 
 def leq_Ltilde(s: XTree, t: XTree) -> bool:
     return tree_multiply(s, tree_star(t)) == s
-
-
-def leq_Rtilde(s: XTree, t: XTree) -> bool:
-    return tree_multiply(tree_plus(t), s) == s
 
 
 def depth_undirected(t: RawTree) -> int:

@@ -14,7 +14,8 @@ from ehresmann import normalform as nf
 from ehresmann import psdp
 from ehresmann import scheiblich as sch
 from ehresmann import words, xtree
-from ehresmann.psdp import FreeGroup, IntegersAdd, PSetElement
+from ehresmann.cli import CHECKS
+from ehresmann.psdp import FreeGroup
 from ehresmann.xtree import (
     IDENTITY_TREE,
     letter_tree,
@@ -22,9 +23,9 @@ from ehresmann.xtree import (
     random_raw_tree,
     tree_multiply,
     tree_plus,
-    tree_power,
     tree_star,
 )
+from ehresmann.structures import get_structure
 
 A = letter_tree("a")
 B = letter_tree("b")
@@ -112,7 +113,7 @@ def test_criterion_03_normal_form_uniqueness():
 
 def test_criterion_04_star_plus_witnesses():
     t0 = time.monotonic()
-    ba = [tree_multiply(B, tree_power(A, i)) for i in range(7)]
+    ba = [tree_multiply(B, get_structure("fad").power(A, i)) for i in range(7)]
     ok = True
     for i in range(6):
         ok &= tree_multiply(ba[i], tree_star(ba[i])) == ba[i]
@@ -128,27 +129,21 @@ def test_criterion_04_star_plus_witnesses():
 def test_criterion_05_forbidden_configurations():
     t0 = time.monotonic()
     ok = True
-    for build, depth in ((co.instance_freemonoid, 5), (co.instance_fi, 5)):
-        ctx, a, b, e, star_set = build()
-        ok &= co.check_forbidden_config(a, b, e, depth, ctx).verdict == "pass"
+    for example, depth in (("freemonoid", 5), ("fi", 5)):
+        ok &= CHECKS["forbidden-config"](example=example, depth=depth).verdict == "pass"
+        ctx, a, b, e, star_set = getattr(co, "instance_" + example)()
         ba = b
         for i in range(depth + 1):
             ok &= ctx.star(ba).elems == star_set(i)
-            ba = ctx.multiply(ba, a)
-    ctx, a, b, e = co.instance_mm()
-    ok &= co.check_forbidden_config(a, b, e, 4, ctx).verdict == "pass"
+            ba = ctx.mul(ba, a)
+    ok &= CHECKS["forbidden-config"](example="mm", depth=4).verdict == "pass"
     report("criterion-05 forbidden configurations + exact star sets", ok, t0, 60)
 
 
 def test_criterion_06_bgr_and_truncation():
     t0 = time.monotonic()
-    Z = IntegersAdd()
-    g = PSetElement(Z, frozenset(), 1)
-    h = PSetElement(Z, frozenset(), -1)
-    e = PSetElement(Z, frozenset({0}), 0)
-    ok = co.check_bgr_config(g, h, e, 5, co.SdpContext(Z)).verdict == "pass"
-    q3 = co.QnContext(Z, 3)
-    ok &= co.check_ghe_quotient_conditions(1, 4, q3).verdict == "pass"
+    ok = CHECKS["bgr"](model="sdp:Z", depth=5).verdict == "pass"
+    ok &= CHECKS["ghe"](model="qn:3", depth=4).verdict == "pass"
     report("criterion-06 (g,h,e) certificate in S(Z) and Q3(Z)", ok, t0, 30)
 
 
@@ -156,7 +151,7 @@ def test_criterion_07_triangular_witnesses():
     t0 = time.monotonic()
     # independent arithmetic oracle for the witness exponents
     ok = co.odd_triangulars(5) == [1, 3, 15, 21, 45]
-    ok &= co.check_triangle(3).verdict == "pass"
+    ok &= CHECKS["triangle"](depth=3).verdict == "pass"
     report("criterion-07 odd-triangular witnesses i = 1..3", ok, t0, 30)
 
 

@@ -149,3 +149,61 @@ def test_check_theta_morphism(capsys):
     assert run(capsys, "check", "theta-morphism", "--bound", "1")[0] == 0
     assert run(capsys, "check", "theta-morphism",
                "--gamma", "a b^+", "--delta", "b a^+ a")[0] == 0
+
+
+# -- depth and bound ----------------------------------------------------------
+
+def test_zero_depth_and_bound_are_kept(capsys):
+    code, out, _ = run(capsys, "check", "triangle", "--depth", "0")
+    assert code == 0 and json.loads(out)["depth"] == 0
+    code, out, _ = run(capsys, "check", "mm-fi-iso", "--bound", "0")
+    assert code == 0 and json.loads(out)["depth"] == 0
+    code, out, _ = run(capsys, "check", "right-intersect", "--s", "a", "--t", "a",
+                       "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["notes"][0] == "|Z| = 0 at edge cap 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("forbidden-config", "--depth", "-3"),
+    ("bgr", "--depth", "-1"),
+    ("triangle", "--depth", "-1"),
+    ("lemma-m-n", "--depth", "-2"),
+    ("right-intersect", "--bound", "-1"),
+    ("mm-fi-iso", "--bound", "-1"),
+    ("theta-morphism", "--bound", "-1"),
+])
+def test_negative_depth_or_bound_is_an_error(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "negative" in err
+
+
+def test_registry_is_shared_with_the_parser(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in cli.CHECKS)
+    report = cli.CHECKS["bgr"](model="qn:3", depth=2)
+    assert report.verdict == "pass" and report.depth == 2
+
+
+# -- deep inputs ----------------------------------------------------------------
+
+def test_deep_input_exits_with_an_error(capsys):
+    code, out, err = run(capsys, "eval", " ".join(["a"] * 600), "--model", "fad")
+    if code != 0:  # the recursive tree algorithms run out of stack
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_stack_and_memory_exhaustion_exit_1(capsys, monkeypatch):
+    for exc in (RecursionError, MemoryError):
+        def fail(*args, exc=exc):
+            raise exc("too deep")
+
+        monkeypatch.setattr(cli, "eval_term", fail)
+        code, out, err = run(capsys, "eval", "a", "--model", "fad")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "too deep" in err

@@ -8,7 +8,8 @@ import pytest
 from ehresmann import coherence as co
 from ehresmann import normalform as nf
 from ehresmann import psdp, xtree
-from ehresmann.psdp import IntegersAdd, PSetElement
+from ehresmann.psdp import PSetElement
+from ehresmann.structures import get_structure
 from ehresmann.xtree import (
     IDENTITY_TREE,
     letter_tree,
@@ -37,7 +38,7 @@ def test_forbidden_config_instances_pass():
 
 
 def test_forbidden_config_fails_on_degenerate_data():
-    ctx = co.TreeContext()
+    ctx = get_structure("fad")
     one = IDENTITY_TREE
     report = co.check_forbidden_config(one, one, lambda i: one, 2, ctx)
     assert report.verdict == "fail"
@@ -51,31 +52,31 @@ def test_instance_star_sets_match_closed_forms():
         ba = b
         for i in range(5):
             assert ctx.star(ba).elems == star_set(i), (build.__name__, i)
-            ba = ctx.multiply(ba, a)
+            ba = ctx.mul(ba, a)
 
 
 def test_bgr_config_integers():
-    ctx = co.SdpContext(IntegersAdd())
+    ctx = get_structure("sdp:Z")
     g = PSetElement(ctx.base, frozenset(), 1)
     h = PSetElement(ctx.base, frozenset(), -1)
     e = PSetElement(ctx.base, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
     # swapping e for the identity breaks the configuration
-    bad = co.check_bgr_config(g, h, ctx.identity, 3, ctx)
+    bad = co.check_bgr_config(g, h, ctx.one, 3, ctx)
     assert bad.verdict == "fail"
 
 
 def test_bgr_config_survives_truncation():
-    ctx = co.QnContext(IntegersAdd(), 3)
-    g = ctx.identity.__class__(ctx.base, 3, frozenset(), 1)
-    h = ctx.identity.__class__(ctx.base, 3, frozenset(), -1)
-    e = ctx.identity.__class__(ctx.base, 3, frozenset({0}), 0)
+    ctx = get_structure("qn:3")
+    g = ctx.one.__class__(ctx.base, 3, frozenset(), 1)
+    h = ctx.one.__class__(ctx.base, 3, frozenset(), -1)
+    e = ctx.one.__class__(ctx.base, 3, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
 
 
 def test_ghe_conditions_hold_in_q3_but_not_q1():
-    assert co.check_ghe_quotient_conditions(1, 3, co.QnContext(IntegersAdd(), 3)).verdict == "pass"
-    report = co.check_ghe_quotient_conditions(1, 2, co.QnContext(IntegersAdd(), 1))
+    assert co.check_ghe_quotient_conditions(1, 3, get_structure("qn:3")).verdict == "pass"
+    report = co.check_ghe_quotient_conditions(1, 2, get_structure("qn:1"))
     assert report.verdict == "fail"
 
 
@@ -90,8 +91,8 @@ def test_triangle_certificate():
 
 def test_lambda_related_generators():
     ctx, a, b, _, _ = co.instance_fi()
-    u = ctx.multiply(ctx.multiply(ctx.identity, b), a)
-    v = ctx.multiply(b, a)
+    u = ctx.mul(ctx.mul(ctx.one, b), a)
+    v = ctx.mul(b, a)
     assert co.lambda_related(u, v, a, b, 3, ctx) == (0, 0)
 
 
@@ -192,3 +193,9 @@ def test_right_intersection_small():
 def test_cong_gen_set_side_validation():
     with pytest.raises(ValueError):
         co.CongGenSet(frozenset(), "up")
+
+
+def test_enumeration_cache_keeps_the_budget():
+    co._enum("ab", 3)  # warm the cache at the default budget
+    with pytest.raises(xtree.ResourceGuardError):
+        co._enum("ab", 3, budget=5)

@@ -13,9 +13,9 @@ from ehresmann.psdp import (
     sdp_leq_R,
     sdp_multiply,
     sdp_plus,
-    sdp_power,
     sdp_star,
 )
+from ehresmann.structures import get_structure
 
 Z = IntegersAdd()
 F = FreeGroup(("g", "h"))
@@ -43,7 +43,7 @@ def test_identity_and_powers():
     one = sdp_identity(Z)
     p = zel({1}, 2)
     assert sdp_multiply(one, p) == p == sdp_multiply(p, one)
-    assert sdp_power(p, 3) == zel({1, 3, 5}, 6)
+    assert get_structure("sdp:Z").power(p, 3) == zel({1, 3, 5}, 6)
 
 
 @given(z_elements, z_elements, z_elements)

@@ -24,12 +24,12 @@ from ehresmann.xtree import (
     tree_from_json,
     tree_multiply,
     tree_plus,
-    tree_power,
     tree_star,
     trunk_factorization,
     trunk_word,
     word_tree,
 )
+from ehresmann.structures import get_structure
 
 A = letter_tree("a")
 B = letter_tree("b")
@@ -189,5 +189,6 @@ def test_json_roundtrip_and_dot():
 
 
 def test_power():
-    assert tree_power(A, 3) == word_tree(("a", "a", "a"))
-    assert tree_power(A, 0) == IDENTITY_TREE
+    fad = get_structure("fad")
+    assert fad.power(A, 3) == word_tree(("a", "a", "a"))
+    assert fad.power(A, 0) == IDENTITY_TREE
