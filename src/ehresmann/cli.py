@@ -339,7 +339,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as err:
-        # deep inputs exhaust the stack of the recursive tree algorithms
+        # deeply nested terms exhaust the stack of the recursive term evaluator
+        # (term_atoms and Structure.eval walk the left-nested mul spine)
         print(f"error: input too large to compute ({type(err).__name__}: {err})",
               file=sys.stderr)
         return 1

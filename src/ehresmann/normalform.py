@@ -16,13 +16,15 @@ when they have the same normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, TypeAlias, Union
 
 from . import xtree
 from .words import Word, format_word
 from .xtree import IDENTITY_TREE, XTree, is_idempotent, tree_multiply, tree_plus, word_tree
 
-BXLetter = Union[Word, XTree]
+# a string alias: an evaluated Union[Word, XTree] would stay in typing's
+# cache and keep every imported copy of the xtree module alive
+BXLetter: TypeAlias = "Union[Word, XTree]"
 
 
 def is_word_letter(letter: BXLetter) -> bool:

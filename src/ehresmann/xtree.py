@@ -6,7 +6,10 @@ is everything on the non-trunkward side of a non-trunk edge.  A branch may
 be deleted when the whole tree retracts onto its complement, i.e. when the
 branch admits a label- and direction-preserving simulation into the rest of
 the tree fixing the attachment vertex.  A tree is *pruned* when no branch
-can be deleted.
+can be deleted.  ``prune`` finds all deletable branches in one top-down pass
+over the tree rooted at the start, with one memoized simulation relation on
+the input tree shared by every candidate (its docstring says why one pass
+suffices); the restart-loop definition is kept in the tests as an oracle.
 
 Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
 ``T+`` re-points end := start; ``T*`` re-points start := end.  Pruned trees
@@ -16,6 +19,10 @@ the left-Ehresmann trees, closed under product and ``+``.
 Equality of pruned trees is isomorphism of bi-pointed labeled trees; both
 tree classes canonicalize vertex numbering from an AHU-style encoding
 rooted at the start vertex, so ``==`` on canonical trees is isomorphism.
+Encoding, canonical numbering, pruning and depth keep their own stacks, so
+deep trees (a 10,000-edge word tree) do not hit the recursion limit; only
+sorting two deep sibling codes with a long common prefix still recurses,
+inside the interpreter's tuple comparison.
 """
 
 from __future__ import annotations
@@ -125,181 +132,232 @@ def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
     return adj
 
 
-def _rooted_children(t: RawTree, adj=None) -> Tuple[List[Optional[int]], List[List[Tuple[str, int, int, int]]]]:
-    """Root at start; return (parent array, children[v] lists like adjacency)."""
+def _rooted_children(
+    t: RawTree, adj=None
+) -> Tuple[List[Optional[int]], List[List[Tuple[str, int, int, int]]], List[int]]:
+    """Root at start: (parent array, children[v] lists like adjacency, BFS order)."""
     if adj is None:
         adj = _adjacency(t)
     parent: List[Optional[int]] = [None] * t.nv
     children: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
     order = [t.start]
-    seen = {t.start}
+    seen = [False] * t.nv
+    seen[t.start] = True
     for v in order:
         for lab, o, w, i in adj[v]:
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = True
                 parent[w] = v
                 children[v].append((lab, o, w, i))
                 order.append(w)
-    return parent, children
+    return parent, children, order
+
+
+def _trunk(t: RawTree, parent, children) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
+    """The directed start->end path of a rooted tree: (word, edge indices, vertices)."""
+    word: List[str] = []
+    eidx: List[int] = []
+    path = [t.end]
+    v = t.end
+    while v != t.start:
+        p = parent[v]
+        if p is None:
+            raise ValueError("end not connected to start")
+        for lab, o, w, i in children[p]:
+            if w == v:
+                break
+        if o != 1:
+            raise ValueError("no directed start->end path (trunk missing)")
+        word.append(lab)
+        eidx.append(i)
+        path.append(p)
+        v = p
+    return tuple(reversed(word)), tuple(reversed(eidx)), tuple(reversed(path))
 
 
 def trunk_path(t: RawTree) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
     """The directed start->end path: (word, edge indices, vertex sequence)."""
-    parent, _ = _rooted_children(t, None)
-    path = [t.end]
-    while path[-1] != t.start:
-        p = parent[path[-1]]
-        if p is None:
-            raise ValueError("end not connected to start")
-        path.append(p)
-    path.reverse()
-    pos = {(s, d): (lab, i) for i, (s, lab, d) in enumerate(t.edges)}
-    word: List[str] = []
-    eidx: List[int] = []
-    for u, v in zip(path, path[1:]):
-        if (u, v) not in pos:
-            raise ValueError("no directed start->end path (trunk missing)")
-        lab, i = pos[(u, v)]
-        word.append(lab)
-        eidx.append(i)
-    return tuple(word), tuple(eidx), tuple(path)
+    parent, children, _ = _rooted_children(t)
+    return _trunk(t, parent, children)
+
+
+def _codes(order, children, end: int) -> list:
+    """AHU codes, bottom-up over `order` (parents before children).
+
+    code[v] = (1 if v is the end else 0, sorted (label, orient, child code));
+    equal codes <=> isomorphic subtrees.  Each children[v] is sorted in place
+    into that order, which is the order of the canonical numbering.
+    """
+    code: list = [None] * len(children)
+    for v in reversed(order):
+        kids = children[v]
+        if len(kids) > 1:
+            kids.sort(key=lambda k: (k[0], k[1], code[k[2]]))
+        code[v] = (1 if v == end else 0, tuple([(lab, o, code[w]) for lab, o, w, _ in kids]))
+    return code
+
+
+def _numbered(cls, start: int, end: int, children):
+    """The tree below `start` renumbered in preorder over the (sorted) children."""
+    newid: Dict[int, int] = {}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        newid[v] = len(newid)
+        if children[v]:
+            stack.extend([k[2] for k in reversed(children[v])])
+    edges = [
+        (nid, lab, newid[w]) if o == 1 else (newid[w], lab, nid)
+        for v, nid in newid.items()
+        for lab, o, w, _ in children[v]
+    ]
+    edges.sort()
+    return cls(len(newid), tuple(edges), newid[start], newid[end])
 
 
 def canonical_encode(t: RawTree, with_end: bool = True):
     """AHU-style code rooted at start; equal codes <=> isomorphic trees."""
-    adj = _adjacency(t)
-
-    def code(v: int, parent_edge: int):
-        items = sorted(
-            (lab, o, code(w, i)) for lab, o, w, i in adj[v] if i != parent_edge
-        )
-        flag = 1 if (with_end and v == t.end) else 0
-        return (flag, tuple(items))
-
-    return code(t.start, -1)
+    _, children, order = _rooted_children(t)
+    return _codes(order, children, t.end if with_end else -1)[t.start]
 
 
 def canonicalize(t: RawTree):
     """Renumber vertices deterministically (preorder by sorted child codes)."""
-    adj = _adjacency(t)
-    codes: Dict[Tuple[int, int], tuple] = {}
-
-    def code(v: int, parent_edge: int):
-        if (v, parent_edge) in codes:
-            return codes[(v, parent_edge)]
-        items = sorted(
-            (lab, o, code(w, i)) for lab, o, w, i in adj[v] if i != parent_edge
-        )
-        c = (1 if v == t.end else 0, tuple(items))
-        codes[(v, parent_edge)] = c
-        return c
-
-    code(t.start, -1)
-    newid: Dict[int, int] = {}
-    edges: List[Edge] = []
-
-    def visit(v: int, parent_edge: int):
-        newid[v] = len(newid)
-        kids = sorted(
-            ((lab, o, codes[(w, i)], w, i) for lab, o, w, i in adj[v] if i != parent_edge),
-        )
-        for lab, o, _, w, i in kids:
-            visit(w, i)
-            if o == 1:
-                edges.append((newid[v], lab, newid[w]))
-            else:
-                edges.append((newid[w], lab, newid[v]))
-
-    visit(t.start, -1)
-    cls = type(t)
-    return cls(t.nv, tuple(sorted(edges)), newid[t.start], newid[t.end])
+    _, children, order = _rooted_children(t)
+    _codes(order, children, t.end)
+    return _numbered(type(t), t.start, t.end, children)
 
 
-def _branch_vertices(t: RawTree, edge_index: int) -> Tuple[int, FrozenSet[int], FrozenSet[int]]:
-    """(attach vertex, branch vertex set, branch edge set) of a non-trunk edge."""
-    parent, children = _rooted_children(t)
-    s, _, d = t.edges[edge_index]
-    root = d if parent[d] == s else s
-    attach = parent[root]
-    verts = {root}
-    stack = [root]
-    edges = {edge_index}
-    while stack:
-        v = stack.pop()
-        for _, _, w, i in children[v]:
-            verts.add(w)
-            edges.add(i)
-            stack.append(w)
-    return attach, frozenset(verts), frozenset(edges)
+def _simulation(adj, children):
+    """sim(v, w): the subtree below v maps into the tree with v -> w.
 
+    The map keeps labels and orientations; children[v] is the subtree's
+    rooted structure and adj the whole tree.  Results are memoized; the
+    search keeps its own stack, so depth is bounded by memory, not by the
+    interpreter's recursion limit.
+    """
+    n = len(adj)
+    # step[w][(label, orient)]: the neighbours of w along such an edge
+    step: List[Dict[Tuple[str, int], List[int]]] = [{} for _ in range(n)]
+    for v, nbrs in enumerate(adj):
+        for lab, o, w, _ in nbrs:
+            step[v].setdefault((lab, o), []).append(w)
+    memo: Dict[int, bool] = {}
 
-def _branch_removable(t: RawTree, edge_index: int, adj, children) -> bool:
-    """Can the branch behind edge_index retract into the rest of the tree?"""
-    attach, bverts, bedges = _branch_vertices(t, edge_index)
-    s, lab, d = t.edges[edge_index]
-    root, orient = (d, 1) if d in bverts else (s, -1)
+    def sim(v0: int, w0: int) -> bool:
+        got = memo.get(v0 * n + w0)
+        if got is not None:
+            return got
+        # frame: [v, w, index of the child being matched, its candidates, candidate index]
+        stack = [[v0, w0, 0, None, 0]]
+        ans = None  # verdict of the frame just popped, for the frame below it
+        while stack:
+            f = stack[-1]
+            v, w, k, cands, j = f
+            kids = children[v]
+            if ans is not None:
+                if ans:
+                    k, cands = k + 1, None
+                else:
+                    j += 1
+                ans = None
+            call = None
+            while k < len(kids):
+                lab, o, c, _ = kids[k]
+                if cands is None:
+                    cands, j = step[w].get((lab, o), ()), 0
+                while j < len(cands):
+                    got = True if not children[c] else memo.get(c * n + cands[j])
+                    if got is None:
+                        call = cands[j]
+                        break
+                    if got:
+                        break
+                    j += 1
+                if call is not None or j == len(cands):
+                    break
+                k, cands = k + 1, None
+            if call is not None:
+                f[2], f[3], f[4] = k, cands, j
+                stack.append([c, call, 0, None, 0])
+                continue
+            ans = k == len(kids)
+            memo[v * n + w] = ans
+            stack.pop()
+        return ans
 
-    rest_adj = [
-        [(l, o, w, i) for l, o, w, i in adj[v] if i not in bedges]
-        for v in range(t.nv)
-    ]
-
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def sim(bv: int, tv: int) -> bool:
-        key = (bv, tv)
-        if key in memo:
-            return memo[key]
-        ok = all(
-            any(l2 == l and o2 == o and sim(bw, tw) for l2, o2, tw, _ in rest_adj[tv])
-            for l, o, bw, _ in children[bv]
-        )
-        memo[key] = ok
-        return ok
-
-    return any(
-        l2 == lab and o2 == orient and sim(root, tw)
-        for l2, o2, tw, i in rest_adj[attach]
-        if i != edge_index
-    )
-
-
-def _delete_branch(t: RawTree, edge_index: int) -> RawTree:
-    _, bverts, bedges = _branch_vertices(t, edge_index)
-    keep = [v for v in range(t.nv) if v not in bverts]
-    newid = {v: k for k, v in enumerate(keep)}
-    edges = tuple(
-        (newid[s], lab, newid[d]) for i, (s, lab, d) in enumerate(t.edges) if i not in bedges
-    )
-    return RawTree(len(keep), edges, newid[t.start], newid[t.end])
+    return sim
 
 
 def prune(t: RawTree, rng: Optional[random.Random] = None) -> XTree:
-    """Delete removable branches until none remain, then canonicalize.
+    """Delete every removable branch in one top-down pass, then canonicalize.
 
-    The scan order is canonical unless an RNG is supplied, in which case
-    candidate branches are tried in shuffled order; the result is asserted
-    order-independent by the test suite (a genuine counterexample would be
-    a hard failure, not something to paper over).
+    Rooted at the start, the branch behind a non-trunk edge (attach a, root
+    r) is deleted iff another live edge at a with the same label and
+    orientation leads to a vertex w with sim(r, w): the subtree below r maps
+    into the *input* tree, keeping labels and orientations, with r -> w.
+    One memo of sim serves all candidates, and one pass is enough:
+
+    * The walk is top-down, so when r is tested nothing below r has been
+      deleted, and its subtree is the input's.  The current tree is a
+      retract of the input (each deletion is a retraction), so a map into
+      the input, composed with that retraction, is a map into the current
+      tree that still sends r to the live w.  A map into the current tree
+      with r -> w, w a neighbour of a outside the branch, extends by the
+      identity to an endomorphism; each application brings a branch
+      vertex that stays in the branch two steps closer to a, so a power of
+      it maps the branch into the rest of the tree.  Hence sim on the
+      input decides removability in the current tree, for every r tested.
+    * Removability only turns from true to false as other branches go:
+      if the branch is removable after a deletion, the map that removes
+      it, composed with the retraction that made the deletion, maps the
+      branch into the rest of the larger tree, fixing a.  An edge kept
+      when it is reached is never removable later, so no rescan is needed
+      and the result is the unique pruned retract.
+
+    An RNG shuffles the order in which sibling branches are tried; the
+    result is the same.  The test suite checks the result against the
+    restart-loop algorithm, which deletes one removable branch at a time,
+    both in a fixed and in a shuffled order.
     """
-    cur: RawTree = RawTree(t.nv, t.edges, t.start, t.end)
-    while True:
-        if rng is None:
-            cur = canonicalize(cur)
-        _, trunk_edges, _ = trunk_path(cur)
-        trunk_set = set(trunk_edges)
-        adj = _adjacency(cur)
-        _, children = _rooted_children(cur, adj)
-        candidates = [i for i in range(len(cur.edges)) if i not in trunk_set]
+    adj = _adjacency(t)
+    parent, children, order = _rooted_children(t, adj)
+    _, _, trunk_verts = _trunk(t, parent, children)
+    on_trunk = bytearray(t.nv)
+    for v in trunk_verts:
+        on_trunk[v] = 1
+    sim = None  # built at the first candidate that has a witness edge
+    dead = bytearray(t.nv)
+    up: List[Optional[Tuple[str, int]]] = [None] * t.nv  # (label, orient) of the parent edge
+    live: List[int] = []
+    for v in order:
+        kids = children[v]
+        if dead[v]:
+            for k in kids:
+                dead[k[2]] = 1
+            continue
+        live.append(v)
         if rng is not None:
-            rng.shuffle(candidates)
-        for i in candidates:
-            if _branch_removable(cur, i, adj, children):
-                cur = _delete_branch(cur, i)
-                break
-        else:
-            c = canonicalize(cur)
-            return XTree(c.nv, c.edges, c.start, c.end)
+            rng.shuffle(kids)
+        removed = False
+        for lab, o, r, _ in kids:
+            up[r] = (lab, -o)
+            if on_trunk[r]:
+                continue
+            witnesses = [w for l2, o2, w, _ in kids if l2 == lab and o2 == o and w != r and not dead[w]]
+            if up[v] == (lab, o):
+                witnesses.append(parent[v])
+            if not witnesses:
+                continue
+            if sim is None:
+                sim = _simulation(adj, children)
+            if any(sim(r, w) for w in witnesses):
+                dead[r] = 1
+                removed = True
+        if removed:
+            children[v] = [k for k in kids if not dead[k[2]]]
+    _codes(live, children, t.end)
+    return _numbered(XTree, t.start, t.end, children)
 
 
 def is_pruned(t: RawTree) -> bool:
@@ -402,14 +460,14 @@ def depth_directed(t: RawTree) -> int:
     out: List[List[int]] = [[] for _ in range(t.nv)]
     for s, _, d in t.edges:
         out[s].append(d)
-    memo: Dict[int, int] = {}
-
-    def depth(v: int) -> int:
-        if v not in memo:
-            memo[v] = max((1 + depth(w) for w in out[v]), default=0)
-        return memo[v]
-
-    return depth(t.start)
+    # in a tree the directed path from start to a vertex is unique
+    depth = {t.start: 0}
+    order = [t.start]
+    for v in order:
+        for w in out[v]:
+            depth[w] = depth[v] + 1
+            order.append(w)
+    return max(depth.values())
 
 
 def label_set(t: RawTree) -> FrozenSet[str]:
@@ -428,7 +486,7 @@ def trunk_factorization(t: XTree) -> Tuple[Tuple[XTree, ...], Word]:
     """
     word, trunk_edges, trunk_verts = trunk_path(t)
     trunk_set = set(trunk_edges)
-    parent, children = _rooted_children(t)
+    _, children, _ = _rooted_children(t)
     idems: List[XTree] = []
     for v in trunk_verts:
         verts = [v]

@@ -105,3 +105,31 @@ def test_normal_form_of_tree_roundtrip():
 def test_repr_is_readable():
     form = nf.normalize([BP, ("a",)])
     assert repr(form).startswith("NF[")
+
+
+def test_a_fresh_import_frees_the_previous_xtree_module():
+    # importing the package again must not keep the earlier xtree module
+    # alive (a module-level Union[Word, XTree] did, through typing's cache)
+    import gc
+    import importlib
+    import sys
+
+    def xtree_modules():
+        gc.collect()
+        return sum(
+            1
+            for o in gc.get_objects()
+            if isinstance(o, dict) and o.get("__name__") == "ehresmann.xtree" and "__builtins__" in o
+        )
+
+    before = xtree_modules()
+    saved = {k: v for k, v in sys.modules.items() if k == "ehresmann" or k.startswith("ehresmann.")}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        importlib.import_module("ehresmann.embed_theta")
+    finally:
+        for k in [k for k in sys.modules if k == "ehresmann" or k.startswith("ehresmann.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+    assert xtree_modules() == before
