@@ -50,7 +50,9 @@ def tokenize(text: str) -> List[str]:
 
 def parse_term(text: str):
     """term := factor+ ; factor := primary ('^+'|'^*'|'^-1')* ;
-    primary := '(' term ')' | letter | '1'."""
+    primary := '(' term ')' | letter | '1'.
+
+    A product of two or more factors is one node ("mul", f1, ..., fn)."""
     toks = tokenize(text)
     pos = 0
 
@@ -85,10 +87,10 @@ def parse_term(text: str):
         return node
 
     def term():
-        node = factor()
+        factors = [factor()]
         while peek() is not None and peek() != ")":
-            node = ("mul", node, factor())
-        return node
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else ("mul", *factors)
 
     node = term()
     if pos != len(toks):
@@ -115,8 +117,8 @@ def cx_from_term(text: str) -> et.CXWord:
 
     def flatten(n):
         if n[0] == "mul":
-            flatten(n[1])
-            flatten(n[2])
+            for f in n[1:]:
+                flatten(f)
         elif n[0] == "one":
             pass
         elif n[0] == "atom":
@@ -339,8 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as err:
-        # deeply nested terms exhaust the stack of the recursive term evaluator
-        # (term_atoms and Structure.eval walk the left-nested mul spine)
+        # what still recurses: deeply nested parentheses (parse_term and
+        # Structure.eval) and the tuple comparison in xtree._codes when two
+        # deep sibling codes share a long prefix
         print(f"error: input too large to compute ({type(err).__name__}: {err})",
               file=sys.stderr)
         return 1

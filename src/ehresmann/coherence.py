@@ -257,30 +257,30 @@ def odd_triangulars(count: int) -> List[int]:
     return out
 
 
-def triangle_config(N: int, letter: str = "x"):
+def triangle_config(N: int):
     """(S(X*), a, b, odd triangulars, window) for a = (T, x^2), b = ({1}, x),
     with the infinite set T of odd-triangular powers materialized up to a
     window bound large enough for all products compared at depth N."""
-    ctx = semidirect(psdp.FreeMonoid((letter,)))
+    ctx = semidirect(psdp.FreeMonoid(("x",)))
     tri = odd_triangulars(2 * N + 2)
     window = 2 * N + 1 + tri[-1]
-    tset = frozenset((letter,) * t for t in odd_triangulars(window) if t <= window)
-    a = PSetElement(ctx.base, tset, (letter,) * 2)
-    b = PSetElement(ctx.base, frozenset({()}), (letter,))
+    tset = frozenset(("x",) * t for t in odd_triangulars(window) if t <= window)
+    a = PSetElement(ctx.base, tset, ("x",) * 2)
+    b = PSetElement(ctx.base, frozenset({()}), ("x",))
     return ctx, a, b, tri, window
 
 
-def check_triangle(N: int, letter: str = "x") -> ConfigReport:
+def check_triangle(N: int) -> ConfigReport:
     """Witnesses u_i, v_i with a^i b u_i = a^i b v_i and
     a^{i-1} b u_i != a^{i-1} b v_i, for a and b of triangle_config."""
-    ctx, a, b, tri, window = triangle_config(N, letter)
+    ctx, a, b, tri, window = triangle_config(N)
     failures: List[Tuple[str, Any]] = []
     apow = [ctx.one]
     for _ in range(N):
         apow.append(ctx.mul(apow[-1], a))
     for i in range(1, N + 1):
         t_exp = tri[2 * i] - 2 * i - 1  # t_{2i+1} with 1-based indexing
-        u = PSetElement(ctx.base, frozenset({(letter,) * t_exp}), ())
+        u = PSetElement(ctx.base, frozenset({("x",) * t_exp}), ())
         v = PSetElement(ctx.base, frozenset(), ())
         aib = ctx.mul(apow[i], b)
         if ctx.mul(aib, u) != ctx.mul(aib, v):
@@ -288,7 +288,7 @@ def check_triangle(N: int, letter: str = "x") -> ConfigReport:
         ai1b = ctx.mul(apow[i - 1], b)
         if ctx.mul(ai1b, u) == ctx.mul(ai1b, v):
             failures.append(("neq", {"i": i}))
-    notes = [f"window bound {window} on powers of {letter}"]
+    notes = [f"window bound {window} on powers of x"]
     return _finish(N, failures, notes)
 
 
@@ -411,21 +411,14 @@ def right_annihilator_FLAd(T: XTree) -> CongGenSet:
 _ENUM_CACHE: Dict[tuple, Tuple[XTree, ...]] = {}
 
 
-def _enum(labels, max_edges, max_depth=None, budget=500_000) -> Tuple[XTree, ...]:
-    key = (tuple(sorted(labels)), max_edges, max_depth, budget)
+def _enum(labels, max_edges) -> Tuple[XTree, ...]:
+    key = (tuple(sorted(labels)), max_edges)
     if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = xtree.enumerate_trees(
-            labels,
-            max_edges,
-            left_ehresmann_only=True,
-            max_directed_depth=max_depth,
-            budget=budget,
-        )
+        _ENUM_CACHE[key] = xtree.enumerate_trees(labels, max_edges, left_ehresmann_only=True)
     return _ENUM_CACHE[key]
 
 
-def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None,
-            budget: int = 500_000) -> bool:
+def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None) -> bool:
     """Bounded search for A with T A = U (right) or A T = U (left).
 
     A False result only means "not found within the bound" unless an exact
@@ -438,39 +431,39 @@ def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None,
         found = left_divide(T, U)
         if found is not None:
             return True
-        return any(tree_multiply(A, T) == U for A in _enum(labels, bound, budget=budget))
+        return any(tree_multiply(A, T) == U for A in _enum(labels, bound))
     if side == "right":
-        return any(tree_multiply(T, A) == U for A in _enum(labels, bound, budget=budget))
+        return any(tree_multiply(T, A) == U for A in _enum(labels, bound))
     raise ValueError("side must be left or right")
 
 
 def right_ideal_intersection_FLAd(
     S: XTree,
     T: XTree,
-    L: Optional[int] = None,
     *,
     max_edges: Optional[int] = None,
     factor_edges: Optional[int] = None,
-    budget: int = 500_000,
 ) -> Tuple[XTree, ...]:
     """The depth-bounded generating set Z_L of TM n SM.
 
-    Z_L = {V : depth_directed(V) <= L, V in TM and V in SM}; the depth-L
-    universe is finite but is enumerated here under an additional edge cap
-    (max_edges) with a resource guard.
+    Z_L = {V : depth_directed(V) <= L, V in TM and V in SM}, where L is the
+    larger directed depth of S and T, searched under two caps: cofactors of
+    at most factor_edges edges and V of at most max_edges edges.  Z_L is the
+    set of common multiples {T A} n {S A} over those cofactors, filtered by
+    max_edges and L, in xtree.enumeration_order.  A product of
+    left-Ehresmann trees is a pruned left-Ehresmann tree over the same
+    labels, so no candidate V needs to be enumerated.
     """
-    if L is None:
-        L = max(xtree.depth_directed(T), xtree.depth_directed(S))
+    L = max(xtree.depth_directed(T), xtree.depth_directed(S))
     if max_edges is None:
         max_edges = len(S.edges) + len(T.edges) + 4
     if factor_edges is None:
         factor_edges = max_edges
     labels = sorted(xtree.label_set(T) | xtree.label_set(S)) or ["a"]
-    factors = _enum(labels, factor_edges, budget=budget)
-    t_mult = {tree_multiply(T, A) for A in factors}
-    s_mult = {tree_multiply(S, A) for A in factors}
-    universe = _enum(labels, max_edges, max_depth=L, budget=budget)
-    return tuple(V for V in universe if V in t_mult and V in s_mult)
+    factors = _enum(labels, factor_edges)
+    common = {tree_multiply(T, A) for A in factors} & {tree_multiply(S, A) for A in factors}
+    Z = [V for V in common if len(V.edges) <= max_edges and xtree.depth_directed(V) <= L]
+    return tuple(sorted(Z, key=xtree.enumeration_order))
 
 
 # ---------------------------------------------------------------------------

@@ -177,15 +177,6 @@ def sdp_plus(p: PSetElement) -> PSetElement:
     return PSetElement(p.base, p.elems, p.base.identity())
 
 
-def sdp_is_idempotent(p: PSetElement) -> bool:
-    return p.point == p.base.identity()
-
-
-def sdp_leq_L(p: PSetElement, q: PSetElement) -> bool:
-    """p <=_L~ q  iff  p (q)* = p."""
-    return sdp_multiply(p, sdp_star(q)) == p
-
-
 def sdp_leq_R(p: PSetElement, q: PSetElement) -> bool:
     """p <=_R~ q  iff  (q)+ p = p."""
     return sdp_multiply(sdp_plus(q), p) == p

@@ -82,10 +82,6 @@ def munn_plus(p: MunnElement) -> MunnElement:
     return MunnElement(p.aset, words.GEMPTY)
 
 
-def munn_is_idempotent(p: MunnElement) -> bool:
-    return p.point == words.GEMPTY
-
-
 def in_FA(p: MunnElement) -> bool:
     """Free ample monoid membership: the point is a positive word."""
     return words.is_positive(p.point)

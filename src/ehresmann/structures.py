@@ -90,7 +90,10 @@ class Structure:
         if kind == "atom":
             return self.atom(node[1])
         if kind == "mul":
-            return self.mul(self.eval(node[1]), self.eval(node[2]))
+            acc = self.eval(node[1])
+            for factor in node[2:]:
+                acc = self.mul(acc, self.eval(factor))
+            return acc
         return {"plus": self.plus, "star": self.star, "inv": self.inv}[kind](
             self.eval(node[1])
         )

@@ -289,7 +289,7 @@ def _simulation(adj, children):
     return sim
 
 
-def prune(t: RawTree, rng: Optional[random.Random] = None) -> XTree:
+def prune(t: RawTree) -> XTree:
     """Delete every removable branch in one top-down pass, then canonicalize.
 
     Rooted at the start, the branch behind a non-trunk edge (attach a, root
@@ -315,10 +315,9 @@ def prune(t: RawTree, rng: Optional[random.Random] = None) -> XTree:
       when it is reached is never removable later, so no rescan is needed
       and the result is the unique pruned retract.
 
-    An RNG shuffles the order in which sibling branches are tried; the
-    result is the same.  The test suite checks the result against the
-    restart-loop algorithm, which deletes one removable branch at a time,
-    both in a fixed and in a shuffled order.
+    The test suite checks the result against the restart-loop algorithm,
+    which deletes one removable branch at a time, in a fixed and in a
+    shuffled order.
     """
     adj = _adjacency(t)
     parent, children, order = _rooted_children(t, adj)
@@ -337,8 +336,6 @@ def prune(t: RawTree, rng: Optional[random.Random] = None) -> XTree:
                 dead[k[2]] = 1
             continue
         live.append(v)
-        if rng is not None:
-            rng.shuffle(kids)
         removed = False
         for lab, o, r, _ in kids:
             up[r] = (lab, -o)
@@ -436,10 +433,6 @@ def leq_nat(e: XTree, f: XTree) -> bool:
     return tree_multiply(e, f) == e
 
 
-def leq_Ltilde(s: XTree, t: XTree) -> bool:
-    return tree_multiply(s, tree_star(t)) == s
-
-
 def depth_undirected(t: RawTree) -> int:
     """Longest (necessarily simple) path in the tree starting at start."""
     adj = _adjacency(t)
@@ -532,22 +525,26 @@ def random_raw_tree(rng: random.Random, labels, n_edges: int) -> RawTree:
     return RawTree(t.nv, t.edges, start, end)
 
 
+def enumeration_order(t: RawTree):
+    """The order of enumerate_trees: edge count, then canonical code."""
+    return (len(t.edges), canonical_encode(t))
+
+
 def enumerate_trees(
     labels,
     max_edges: int,
     *,
     left_ehresmann_only: bool = False,
-    max_directed_depth: Optional[int] = None,
     budget: int = 500_000,
 ) -> Tuple[XTree, ...]:
     """All pruned trees over `labels` with at most max_edges edges.
 
     Grows (tree, start) shapes one leaf edge at a time with canonical
     deduplication, then assigns every directed-reachable end vertex and
-    keeps the trees that are their own pruning.  Monotone filters: only
-    outgoing leaf edges when left_ehresmann_only, and a directed-depth cap.
-    Raises ResourceGuardError when the intermediate state count exceeds
-    `budget`.
+    keeps the trees that are their own pruning.  With left_ehresmann_only,
+    only outgoing leaf edges are grown.  The result is in
+    enumeration_order.  Raises ResourceGuardError when the intermediate
+    state count exceeds `budget`.
     """
     labels = sorted(labels)
     seed = RawTree(1, (), 0, 0)
@@ -562,11 +559,6 @@ def enumerate_trees(
                     for o in orients:
                         e = (v, lab, t.nv) if o == 1 else (t.nv, lab, v)
                         cand = RawTree(t.nv + 1, t.edges + (e,), t.start, t.start)
-                        if (
-                            max_directed_depth is not None
-                            and depth_directed(cand) > max_directed_depth
-                        ):
-                            continue
                         key = canonical_encode(cand, with_end=False)
                         if key not in nxt:
                             nxt[key] = cand
@@ -588,4 +580,4 @@ def enumerate_trees(
                 p = prune(cand)
                 if len(p.edges) == len(cand.edges):
                     out.setdefault(canonical_encode(p), p)
-    return tuple(sorted(out.values(), key=lambda x: (len(x.edges), canonical_encode(x))))
+    return tuple(sorted(out.values(), key=enumeration_order))

@@ -190,12 +190,52 @@ def test_right_intersection_small():
         assert co.divides(abp, V, "right")
 
 
+class RightIntersectionOracle:
+    """Z_L by its two-enumeration definition: every left-Ehresmann tree of at
+    most max_edges edges and directed depth at most L that is both a T- and
+    an S-multiple by a cofactor of at most factor_edges edges.  Enumerations
+    and each tree's set of multiples are kept between calls."""
+
+    def __init__(self):
+        self.trees = {}
+        self.multiples = {}
+
+    def enum(self, labels, max_edges):
+        key = (labels, max_edges)
+        if key not in self.trees:
+            self.trees[key] = xtree.enumerate_trees(labels, max_edges, left_ehresmann_only=True)
+        return self.trees[key]
+
+    def right_multiples(self, T, labels, factor_edges):
+        key = (T, labels, factor_edges)
+        if key not in self.multiples:
+            self.multiples[key] = {tree_multiply(T, A) for A in self.enum(labels, factor_edges)}
+        return self.multiples[key]
+
+    def __call__(self, S, T, max_edges, factor_edges):
+        L = max(xtree.depth_directed(S), xtree.depth_directed(T))
+        labels = "".join(sorted(xtree.label_set(S) | xtree.label_set(T))) or "a"
+        t_mult = self.right_multiples(T, labels, factor_edges)
+        s_mult = self.right_multiples(S, labels, factor_edges)
+        return tuple(
+            V
+            for V in self.enum(labels, max_edges)
+            if xtree.depth_directed(V) <= L and V in t_mult and V in s_mult
+        )
+
+
+def test_right_intersection_matches_the_two_enumeration_oracle():
+    oracle = RightIntersectionOracle()
+    pool = le_trees(2)
+    for S, T in itertools.product(pool, repeat=2):
+        got = co.right_ideal_intersection_FLAd(S, T, max_edges=5, factor_edges=3)
+        assert got == oracle(S, T, 5, 3), (S, T)
+        if len(S.edges) + len(T.edges) <= 2:
+            cap = len(S.edges) + len(T.edges) + 4  # the default edge cap
+            assert co.right_ideal_intersection_FLAd(S, T) == oracle(S, T, cap, cap), (S, T)
+
+
 def test_cong_gen_set_side_validation():
     with pytest.raises(ValueError):
         co.CongGenSet(frozenset(), "up")
 
-
-def test_enumeration_cache_keeps_the_budget():
-    co._enum("ab", 3)  # warm the cache at the default budget
-    with pytest.raises(xtree.ResourceGuardError):
-        co._enum("ab", 3, budget=5)

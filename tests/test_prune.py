@@ -13,7 +13,6 @@ from ehresmann.xtree import (
     directed_reachable,
     enumerate_trees,
     prune,
-    random_raw_tree,
     raw_plus,
     raw_product,
     raw_star,
@@ -56,22 +55,10 @@ def raw_trees(draw, labels="abc", max_edges=40):
 def test_prune_and_canonicalize_match_the_oracle_on_random_trees(raw, seed):
     want = prune_oracle.prune(raw)
     got = prune(raw)
-    shuffled = prune(raw, random.Random(seed))
-    assert got == want and shuffled == want
+    assert got == want
     assert prune_oracle.prune(raw, random.Random(seed)) == want
-    assert type(got) is XTree and type(shuffled) is XTree
+    assert type(got) is XTree
     assert canonicalize(raw) == prune_oracle.canonicalize(raw)
-
-
-def test_any_order_of_deletion_gives_the_one_pass_result():
-    # acceptance criterion 02 with the restart-loop oracle, which deletes one
-    # removable branch at a time in a shuffled order, on the same trees
-    rng = random.Random(202)
-    for _ in range(200):
-        raw = random_raw_tree(rng, "ab", rng.randint(0, 10))
-        want = prune(raw)
-        for _ in range(5):
-            assert prune_oracle.prune(raw, random.Random(rng.randint(0, 10**9))) == want, raw
 
 
 def test_ten_thousand_edge_word_product():

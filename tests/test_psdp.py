@@ -8,8 +8,6 @@ from ehresmann.psdp import (
     sdp_from_json,
     sdp_identity,
     sdp_inverse,
-    sdp_is_idempotent,
-    sdp_leq_L,
     sdp_leq_R,
     sdp_multiply,
     sdp_plus,
@@ -57,15 +55,17 @@ def test_inverse_star_plus(p):
     assert sdp_multiply(sdp_multiply(p, pi), p) == p
     assert sdp_star(p) == sdp_multiply(pi, p)
     assert sdp_plus(p) == sdp_multiply(p, pi)
-    assert sdp_is_idempotent(sdp_star(p))
-    assert sdp_is_idempotent(sdp_plus(p))
+    sdz = get_structure("sdp:Z")
+    assert sdz.is_E_idempotent(sdp_star(p))
+    assert sdz.is_E_idempotent(sdp_plus(p))
 
 
 @given(z_elements, z_elements)
 def test_Ltilde_via_star(p, q):
     # p <=_L~ q iff p q* = p; any p is below itself
-    assert sdp_leq_L(p, p)
-    if sdp_leq_L(p, q) and sdp_leq_L(q, p):
+    leq_L = get_structure("sdp:Z").leq_Ltilde
+    assert leq_L(p, p)
+    if leq_L(p, q) and leq_L(q, p):
         assert sdp_star(p) == sdp_star(q)
 
 
