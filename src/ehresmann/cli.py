@@ -52,56 +52,48 @@ def parse_term(text: str):
     """term := factor+ ; factor := primary ('^+'|'^*'|'^-1')* ;
     primary := '(' term ')' | letter | '1'.
 
-    A product of two or more factors is one node ("mul", f1, ..., fn)."""
-    toks = tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return toks[pos] if pos < len(toks) else None
-
-    def primary():
-        nonlocal pos
-        t = peek()
+    A product of two or more factors is one node ("mul", f1, ..., fn).
+    Open parentheses are kept on an explicit stack, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+    postfix = {"^+": "plus", "^*": "star", "^-1": "inv"}
+    # the factors read so far of each open term, outermost first
+    terms: List[List[Any]] = [[]]
+    for t in tokenize(text):
+        factors = terms[-1]
         if t == "(":
-            pos += 1
-            node = term()
-            if peek() != ")":
-                raise ValueError("missing )")
-            pos += 1
-            return node
-        if t == "1":
-            pos += 1
-            return ("one",)
-        if t is None or t in (")", "^+", "^*", "^-1"):
-            raise ValueError(f"expected an atom, found {t!r}")
-        pos += 1
-        return ("atom", t)
-
-    def factor():
-        nonlocal pos
-        node = primary()
-        while peek() in ("^+", "^*", "^-1"):
-            op = {"^+": "plus", "^*": "star", "^-1": "inv"}[peek()]
-            node = (op, node)
-            pos += 1
-        return node
-
-    def term():
-        factors = [factor()]
-        while peek() is not None and peek() != ")":
-            factors.append(factor())
-        return factors[0] if len(factors) == 1 else ("mul", *factors)
-
-    node = term()
-    if pos != len(toks):
-        raise ValueError("trailing input in term")
-    return node
+            terms.append([])
+        elif t == ")":
+            if not factors:
+                raise ValueError(f"expected an atom, found {t!r}")
+            if len(terms) == 1:
+                raise ValueError("trailing input in term")
+            terms.pop()
+            terms[-1].append(factors[0] if len(factors) == 1 else ("mul", *factors))
+        elif t in postfix:
+            if not factors:
+                raise ValueError(f"expected an atom, found {t!r}")
+            factors[-1] = (postfix[t], factors[-1])
+        else:
+            factors.append(("one",) if t == "1" else ("atom", t))
+    if not terms[-1]:
+        raise ValueError("expected an atom, found None")
+    if len(terms) > 1:
+        raise ValueError("missing )")
+    factors = terms[0]
+    return factors[0] if len(factors) == 1 else ("mul", *factors)
 
 
 def term_atoms(node) -> List[str]:
-    if node[0] == "atom":
-        return [node[1]]
-    return [a for child in node[1:] if isinstance(child, tuple) for a in term_atoms(child)]
+    """The atoms of a parsed term, left to right."""
+    out: List[str] = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n[0] == "atom":
+            out.append(n[1])
+        else:
+            stack.extend(reversed([c for c in n[1:] if isinstance(c, tuple)]))
+    return out
 
 
 def eval_term(text: str, model_name: str):
@@ -115,10 +107,11 @@ def cx_from_term(text: str) -> et.CXWord:
     node = parse_term(text)
     letters: List[Any] = []
 
-    def flatten(n):
+    stack = [node]
+    while stack:
+        n = stack.pop()
         if n[0] == "mul":
-            for f in n[1:]:
-                flatten(f)
+            stack.extend(reversed(n[1:]))
         elif n[0] == "one":
             pass
         elif n[0] == "atom":
@@ -127,8 +120,6 @@ def cx_from_term(text: str) -> et.CXWord:
             letters.append(xtree.tree_plus(get_structure("flad").eval(n[1])))
         else:
             raise ValueError("C-words only support letters, products and ^+")
-
-    flatten(node)
     return et.CXWord.make(letters)
 
 
@@ -341,9 +332,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as err:
-        # what still recurses: deeply nested parentheses (parse_term and
-        # Structure.eval) and the tuple comparison in xtree._codes when two
-        # deep sibling codes share a long prefix
+        # only xtree._codes can still recurse: the interpreter compares two
+        # deep sibling codes with a long common prefix recursively
         print(f"error: input too large to compute ({type(err).__name__}: {err})",
               file=sys.stderr)
         return 1

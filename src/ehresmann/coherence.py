@@ -317,10 +317,9 @@ def _nf_head(nfm: normalform.NormalForm, r: int) -> List[Any]:
     return pre
 
 
-def left_divisor_candidates(S: XTree, T: XTree) -> List[XTree]:
-    """Candidate A with A S = T, read off the normal forms (verified later)."""
-    nT = normalform.normal_form_of_tree(T)
-    nS = normalform.normal_form_of_tree(S)
+def left_divisor_candidates(nS: normalform.NormalForm, nT: normalform.NormalForm) -> List[XTree]:
+    """Candidate A with A S = T, read off the normal forms nS of S and nT
+    of T (verified later)."""
     m, n = nT.m, nS.m
     cands: List[XTree] = []
     if n > m:
@@ -355,13 +354,18 @@ def left_divisor_candidates(S: XTree, T: XTree) -> List[XTree]:
     return cands
 
 
-def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
-    """An A with A S = T, or None; exact via normal-form alignment plus
-    verification by multiplication."""
-    for cand in left_divisor_candidates(S, T):
+def _left_divide(S: XTree, T: XTree, nS: normalform.NormalForm,
+                 nT: normalform.NormalForm) -> Optional[XTree]:
+    for cand in left_divisor_candidates(nS, nT):
         if tree_multiply(cand, S) == T:
             return cand
     return None
+
+
+def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
+    """An A with A S = T, or None; exact via normal-form alignment plus
+    verification by multiplication."""
+    return _left_divide(S, T, normalform.normal_form_of_tree(S), normalform.normal_form_of_tree(T))
 
 
 def left_ideal_intersection_FLAd(S: XTree, T: XTree) -> IdealIntersection:
@@ -369,14 +373,14 @@ def left_ideal_intersection_FLAd(S: XTree, T: XTree) -> IdealIntersection:
     for t in (S, T):
         if not xtree.is_left_ehresmann(t):
             raise ValueError("inputs must be left-Ehresmann trees")
-    a = left_divide(T, S)  # S = a T  =>  MS <= MT
+    nS = normalform.normal_form_of_tree(S)
+    nT = normalform.normal_form_of_tree(T)
+    a = _left_divide(T, S, nT, nS)  # S = a T  =>  MS <= MT
     if a is not None:
         return IdealIntersection("principal", S, a, xtree.IDENTITY_TREE)
-    b = left_divide(S, T)  # T = b S
+    b = _left_divide(S, T, nS, nT)  # T = b S
     if b is not None:
         return IdealIntersection("principal", T, xtree.IDENTITY_TREE, b)
-    nT = normalform.normal_form_of_tree(T)
-    nS = normalform.normal_form_of_tree(S)
     if (
         nT.words[0] == ()
         and nS.words[0] == ()

@@ -104,7 +104,17 @@ def merge(letters: Sequence[BXLetter]) -> List[BXLetter]:
 
 
 def normalize(letters: Sequence[BXLetter]) -> NormalForm:
-    """Rewrite a letter sequence to its normal form."""
+    """Rewrite a letter sequence to its normal form.
+
+    Rule (II) at the idempotent E[j] reads b = suffix[j], the product of
+    everything to its right.  Rewriting a later idempotent f never changes
+    such a product: f b = (f b+) b, and f b = b when f b+ = b+.  So every
+    suffix is built once, right to left, from the letters as merged and
+    before any rewrite: suffix[j] = W[j+1] E[j+1] suffix[j+1], which makes
+    m idempotents cost 2(m-1) products.  They are not grown from the lists
+    being rewritten, since a drop makes W[j] absorb W[j+1] and shifts the
+    later indices.
+    """
     # pad the alternating parts with empty words into t0 e1 t1 ... em tm
     parts = merge(letters)
     W: List[Word] = []
@@ -115,20 +125,17 @@ def normalize(letters: Sequence[BXLetter]) -> NormalForm:
         (W if is_word_letter(p) else E).append(p)
     if len(W) == len(E):
         W.append(())
-    j = len(E) - 1
-    while j >= 0:
-        suffix = eval_to_tree(
-            [W[j + 1]]
-            + [x for e, t in zip(E[j + 1:], W[j + 2:]) for x in (e, t)]
-        )
-        bplus = tree_plus(suffix)
+    suffix: List[XTree] = [word_tree(W[-1])] * len(E)
+    for j in range(len(E) - 2, -1, -1):
+        suffix[j] = tree_multiply(tree_multiply(word_tree(W[j + 1]), E[j + 1]), suffix[j + 1])
+    for j in range(len(E) - 1, -1, -1):
+        bplus = tree_plus(suffix[j])
         fb = tree_multiply(E[j], bplus)
         if fb == bplus:
             W[j] = W[j] + W[j + 1]
             del E[j], W[j + 1]
         else:
             E[j] = fb
-        j -= 1
     return NormalForm(tuple(W), tuple(E))
 
 
@@ -142,24 +149,3 @@ def normal_form_of_tree(t: XTree) -> NormalForm:
             letters.append((word[i],))
     return normalize(letters)
 
-
-def check_normal_conditions(nf: NormalForm) -> Tuple[bool, List[str]]:
-    """Verify the normal-form side conditions; returns (ok, reasons)."""
-    reasons: List[str] = []
-    for i, t in enumerate(nf.words[1:-1], start=1):
-        if t == ():
-            reasons.append(f"interior word t{i} is empty")
-    for i, e in enumerate(nf.idems, start=1):
-        if not is_idempotent(e):
-            reasons.append(f"e{i} is not idempotent")
-        if len(e.edges) == 0:
-            reasons.append(f"e{i} is trivial")
-    for i, e in enumerate(nf.idems, start=1):
-        suffix = eval_to_tree(
-            [nf.words[i]]
-            + [x for f, t in zip(nf.idems[i:], nf.words[i + 1:]) for x in (f, t)]
-        )
-        bplus = tree_plus(suffix)
-        if not (xtree.leq_nat(e, bplus) and e != bplus):
-            reasons.append(f"e{i} is not strictly below the +-closure of its suffix")
-    return (not reasons, reasons)

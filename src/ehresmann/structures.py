@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from . import expansions as ex
 from . import psdp, scheiblich as sch, xtree
@@ -84,19 +84,33 @@ class Structure:
         raise ValueError(f"format {fmt} not supported by model {self.name}")
 
     def eval(self, node):
-        kind = node[0]
-        if kind == "one":
-            return self.one
-        if kind == "atom":
-            return self.atom(node[1])
-        if kind == "mul":
-            acc = self.eval(node[1])
-            for factor in node[2:]:
-                acc = self.mul(acc, self.eval(factor))
-            return acc
-        return {"plus": self.plus, "star": self.star, "inv": self.inv}[kind](
-            self.eval(node[1])
-        )
+        """The value of a parsed term.  A work stack of nodes and pending
+        operations replaces recursion, so nesting depth is bounded by memory;
+        ("mul", f1, ..., fn) still folds left to right, making its products
+        in the order f1 f2, then (f1 f2) f3, and so on."""
+        unary = {"plus": self.plus, "star": self.star, "inv": self.inv}
+        values: List[Any] = []
+        work: List[Any] = [node]
+        while work:
+            item = work.pop()
+            if isinstance(item, str):  # an operation on the values last pushed
+                if item == "mul":
+                    b = values.pop()
+                    values.append(self.mul(values.pop(), b))
+                else:
+                    values.append(unary[item](values.pop()))
+            elif item[0] == "one":
+                values.append(self.one)
+            elif item[0] == "atom":
+                values.append(self.atom(item[1]))
+            elif item[0] == "mul":
+                todo: List[Any] = [item[1]]
+                for factor in item[2:]:
+                    todo += [factor, "mul"]
+                work.extend(reversed(todo))
+            else:
+                work += [item[0], item[1]]
+        return values.pop()
 
 
 def semidirect(base: psdp.BaseMonoid, name: str = "sdp", atom=None) -> Structure:

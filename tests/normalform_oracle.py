@@ -1,0 +1,88 @@
+"""The quadratic normal-form rewrite, kept as a differential oracle.
+
+``normalize`` applies rule (II) right to left and evaluates the suffix of
+each idempotent from scratch, from the lists as they stand after the
+rewrites to its right, so m idempotents cost O(m^2) products.  Each step is
+the definition: with b the product of everything to the right of f, drop f
+when f b+ = b+ and replace f by f b+ otherwise.  ``check_normal_conditions``
+verifies the side conditions of a form directly.
+``ehresmann.normalform.normalize`` and ``normal_form_of_tree`` must agree
+with it on every input.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from ehresmann import xtree
+from ehresmann.normalform import BXLetter, NormalForm, eval_to_tree, is_word_letter, merge
+from ehresmann.words import Word
+from ehresmann.xtree import XTree, is_idempotent, tree_multiply, tree_plus
+
+
+def normalize_with_drops(letters: Sequence[BXLetter]) -> Tuple[NormalForm, List[int]]:
+    """The normal form, and the positions (among the merged idempotents,
+    counted from 0) of the idempotents that rule (II) dropped."""
+    parts = merge(letters)
+    W: List[Word] = []
+    E: List[XTree] = []
+    if not parts or not is_word_letter(parts[0]):
+        W.append(())
+    for p in parts:
+        (W if is_word_letter(p) else E).append(p)
+    if len(W) == len(E):
+        W.append(())
+    dropped: List[int] = []
+    j = len(E) - 1
+    while j >= 0:
+        suffix = eval_to_tree(
+            [W[j + 1]]
+            + [x for e, t in zip(E[j + 1:], W[j + 2:]) for x in (e, t)]
+        )
+        bplus = tree_plus(suffix)
+        fb = tree_multiply(E[j], bplus)
+        if fb == bplus:
+            W[j] = W[j] + W[j + 1]
+            del E[j], W[j + 1]
+            dropped.append(j)
+        else:
+            E[j] = fb
+        j -= 1
+    return NormalForm(tuple(W), tuple(E)), dropped
+
+
+def normalize(letters: Sequence[BXLetter]) -> NormalForm:
+    return normalize_with_drops(letters)[0]
+
+
+def normal_form_of_tree(t: XTree) -> NormalForm:
+    """normalize over the letters e0 x1 e1 x2 ... of the trunk factorization."""
+    idems, word = xtree.trunk_factorization(t)
+    letters: List[BXLetter] = []
+    for i, e in enumerate(idems):
+        letters.append(e)
+        if i < len(word):
+            letters.append((word[i],))
+    return normalize(letters)
+
+
+def check_normal_conditions(nf: NormalForm) -> Tuple[bool, List[str]]:
+    """Verify the normal-form side conditions; returns (ok, reasons)."""
+    reasons: List[str] = []
+    for i, t in enumerate(nf.words[1:-1], start=1):
+        if t == ():
+            reasons.append(f"interior word t{i} is empty")
+    for i, e in enumerate(nf.idems, start=1):
+        if not is_idempotent(e):
+            reasons.append(f"e{i} is not idempotent")
+        if len(e.edges) == 0:
+            reasons.append(f"e{i} is trivial")
+    for i, e in enumerate(nf.idems, start=1):
+        suffix = eval_to_tree(
+            [nf.words[i]]
+            + [x for f, t in zip(nf.idems[i:], nf.words[i + 1:]) for x in (f, t)]
+        )
+        bplus = tree_plus(suffix)
+        if not (xtree.leq_nat(e, bplus) and e != bplus):
+            reasons.append(f"e{i} is not strictly below the +-closure of its suffix")
+    return (not reasons, reasons)

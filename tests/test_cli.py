@@ -199,6 +199,21 @@ def test_deep_input_exits_with_an_error(capsys):
     assert xtree.tree_from_json(json.loads(out), pruned=True) == xtree.word_tree(("a",) * 600)
 
 
+def test_deeply_nested_input_evaluates(capsys):
+    # parsing, evaluation and term_atoms keep explicit stacks
+    a = xtree.letter_tree("a")
+    for term, want in (
+        ("(" * 600 + "a" + ")" * 600, a),
+        ("a" + "^+" * 600, xtree.tree_plus(a)),
+        ("a (" * 600 + "a" + ")" * 600, xtree.word_tree(("a",) * 601)),
+    ):
+        code, out, err = run(capsys, "eval", term, "--model", "fad")
+        assert code == 0 and err == "", term[:20]
+        assert xtree.tree_from_json(json.loads(out), pruned=True) == want
+    nested = "a (" * 600 + "a^+" + ")" * 600
+    assert cli.cx_from_term(nested) == cli.cx_from_term("a " * 600 + "a^+")
+
+
 def test_stack_and_memory_exhaustion_exit_1(capsys, monkeypatch):
     for exc in (RecursionError, MemoryError):
         def fail(*args, exc=exc):

@@ -147,6 +147,30 @@ def test_left_intersection_case_iii():
     assert res.generator == tree_multiply(tree_multiply(e1, f1), A)
 
 
+def test_left_intersection_computes_one_normal_form_per_operand(monkeypatch):
+    seen = []
+    real = nf.normal_form_of_tree
+
+    def counted(t):
+        seen.append(t)
+        return real(t)
+
+    monkeypatch.setattr(nf, "normal_form_of_tree", counted)
+    ab = tree_multiply(A, B)
+    # one pair per exit: S = aT, T = bS, the e-branch, and empty
+    for S, T, exit_reached in (
+        (ab, B, lambda r: r.generator == ab and r.left_factor_of_S == IDENTITY_TREE),
+        (B, ab, lambda r: r.generator == ab and r.left_factor_of_T == IDENTITY_TREE),
+        (tree_plus(A), tree_plus(B), lambda r: r.kind == "principal"
+            and r.left_factor_of_T == r.left_factor_of_S != IDENTITY_TREE),
+        (A, B, lambda r: r.kind == "empty"),
+    ):
+        seen.clear()
+        res = co.left_ideal_intersection_FLAd(S, T)
+        assert exit_reached(res), (S, T, res)
+        assert len(seen) == 2 and set(seen) == {S, T}, (S, T, seen)
+
+
 def test_left_intersection_against_brute_force():
     pool = le_trees(2)
     factors = le_trees(3)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import normalform_oracle as oracle
 from ehresmann import normalform as nf
 from ehresmann import xtree
 from ehresmann.xtree import letter_tree, tree_multiply, tree_plus, word_tree
@@ -46,7 +47,7 @@ def test_non_redundant_idempotent_stays():
     form = nf.normalize([BP, ("a",)])
     assert form.m == 1
     assert form.words == ((), ("a",))
-    ok, reasons = nf.check_normal_conditions(form)
+    ok, reasons = oracle.check_normal_conditions(form)
     assert ok, reasons
 
 
@@ -72,7 +73,7 @@ def test_normal_form_evaluates_back():
                 letters.append(rng.choice(idems))
         form = nf.normalize(letters)
         assert form.tree() == nf.eval_to_tree(letters)
-        ok, reasons = nf.check_normal_conditions(form)
+        ok, reasons = oracle.check_normal_conditions(form)
         assert ok, (letters, reasons)
 
 
@@ -98,8 +99,34 @@ def test_normal_form_of_tree_roundtrip():
             continue
         form = nf.normal_form_of_tree(t)
         assert form.tree() == t
-        ok, reasons = nf.check_normal_conditions(form)
+        ok, reasons = oracle.check_normal_conditions(form)
         assert ok, reasons
+
+
+def test_normal_form_of_tree_matches_the_oracle_on_small_trees():
+    trees = xtree.enumerate_trees("ab", 4, left_ehresmann_only=True)
+    assert len(trees) == 322
+    for t in trees:
+        assert nf.normal_form_of_tree(t) == oracle.normal_form_of_tree(t), t
+
+
+def test_normalize_matches_the_oracle_on_random_sequences():
+    rng = random.Random(17)
+    idems = le_idempotents()
+    interior_drops = 0
+    for _ in range(400):
+        letters = []
+        for _ in range(rng.randint(0, 24)):
+            if rng.random() < 0.5:
+                letters.append(tuple(rng.choice("ab") for _ in range(rng.randint(0, 2))))
+            else:
+                letters.append(rng.choice(idems))
+        want, dropped = oracle.normalize_with_drops(letters)
+        assert nf.normalize(letters) == want, letters
+        n = sum(1 for p in nf.merge(letters) if not nf.is_word_letter(p))
+        interior_drops += sum(1 for j in dropped if 0 < j < n - 1)
+    # a drop of an interior idempotent shifts the indices to its right
+    assert interior_drops > 0
 
 
 def test_repr_is_readable():
