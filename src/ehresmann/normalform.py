@@ -20,7 +20,7 @@ from typing import Iterable, List, Sequence, Tuple, TypeAlias, Union
 
 from . import xtree
 from .words import Word, format_word
-from .xtree import IDENTITY_TREE, XTree, is_idempotent, tree_multiply, tree_plus, word_tree
+from .xtree import XTree, is_idempotent, tree_multiply, tree_plus, tree_product, word_tree
 
 # a string alias: an evaluated Union[Word, XTree] would stay in typing's
 # cache and keep every imported copy of the xtree module alive
@@ -42,10 +42,7 @@ def letter_tree(letter: BXLetter) -> XTree:
 
 
 def eval_to_tree(letters: Iterable[BXLetter]) -> XTree:
-    acc = IDENTITY_TREE
-    for letter in letters:
-        acc = tree_multiply(acc, letter_tree(letter))
-    return acc
+    return tree_product([letter_tree(letter) for letter in letters])
 
 
 @dataclass(frozen=True)

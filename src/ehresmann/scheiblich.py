@@ -13,7 +13,7 @@ FA(X) (point a positive word) and the free left ample monoid FLA(X)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, Iterable
 
 from . import words
 from .words import GroupWord, Word
@@ -55,15 +55,27 @@ MUNN_ONE = MunnElement(frozenset({words.GEMPTY}), words.GEMPTY)
 
 def munn_from_word(g: GroupWord) -> MunnElement:
     """Image of a group word under the generator embedding x |-> ({1,x}, x)."""
-    acc = MUNN_ONE
-    for letter in g:
-        acc = munn_multiply(acc, MunnElement(frozenset({words.GEMPTY, (letter,)}), (letter,)))
-    return acc
+    return munn_product([MunnElement(frozenset({words.GEMPTY, (letter,)}), (letter,))
+                         for letter in g])
+
+
+def munn_product(factors: Iterable[MunnElement]) -> MunnElement:
+    """(A1, a1) ... (An, an) = (A1 u a1 A2 u ... u a1...a(n-1) An, a1...an).
+
+    One set is built and checked for prefix closure once; no factors give
+    the identity.
+    """
+    factors = iter(factors)
+    first = next(factors, MUNN_ONE)
+    aset, point = set(first.aset), first.point
+    for q in factors:
+        aset.update(words.gmul(point, b) for b in q.aset)
+        point = words.gmul(point, q.point)
+    return MunnElement(frozenset(aset), point)
 
 
 def munn_multiply(p: MunnElement, q: MunnElement) -> MunnElement:
-    shifted = frozenset(words.gmul(p.point, b) for b in q.aset)
-    return MunnElement(p.aset | shifted, words.gmul(p.point, q.point))
+    return munn_product((p, q))
 
 
 def munn_inverse(p: MunnElement) -> MunnElement:
@@ -90,17 +102,3 @@ def in_FA(p: MunnElement) -> bool:
 def in_FLA(p: MunnElement) -> bool:
     """Free left ample monoid membership: the whole set is positive."""
     return all(words.is_positive(g) for g in p.aset)
-
-
-def munn_in_right_ideal(p: MunnElement, r: MunnElement) -> bool:
-    """r in pS  iff  p p^-1 r = r."""
-    return munn_multiply(munn_plus(p), r) == r
-
-
-def munn_principal_intersection(p: MunnElement, q: MunnElement) -> MunnElement:
-    """A generator of pS n qS (inverse monoids are coherent this way).
-
-    pS n qS = (p p^-1 q q^-1) S, and the generator is an idempotent times
-    nothing: the product of the two +-projections.
-    """
-    return munn_multiply(munn_plus(p), munn_plus(q))

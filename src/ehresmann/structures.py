@@ -5,15 +5,16 @@ identity, generators, product, the unary operations ``+``, ``*`` and
 inverse, powers, the L~-preorder and an O(1) idempotent test, and
 evaluates and renders parsed terms.  Its element functions are
 ``<prefix>_multiply``, ``<prefix>_plus``, ``<prefix>_star`` and
-``<prefix>_inverse`` of one module, looked up on the module at every call,
-so rebinding a module attribute (as a tracer does) reaches them.
+``<prefix>_inverse`` of one module, and ``<prefix>_product`` where the
+module has one, looked up on the module at every call, so rebinding a
+module attribute (as a tracer does) reaches them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import expansions as ex
 from . import psdp, scheiblich as sch, xtree
@@ -40,6 +41,21 @@ class Structure:
 
     def mul(self, a, b):
         return getattr(self.module, self.prefix + "_multiply")(a, b)
+
+    def product(self, values: Sequence[Any]):
+        """values[0] values[1] ... values[-1], for one or more values.
+
+        A model whose module has ``<prefix>_product`` (trees, Munn
+        elements) makes the whole product in one call; the others fold
+        left to right through ``mul``.
+        """
+        whole = getattr(self.module, self.prefix + "_product", None)
+        if whole is not None:
+            return whole(values)
+        acc = values[0]
+        for b in values[1:]:
+            acc = self.mul(acc, b)
+        return acc
 
     def _op(self, op: str, a):
         if op not in self.unary:
@@ -85,29 +101,31 @@ class Structure:
 
     def eval(self, node):
         """The value of a parsed term.  A work stack of nodes and pending
-        operations replaces recursion, so nesting depth is bounded by memory;
-        ("mul", f1, ..., fn) still folds left to right, making its products
-        in the order f1 f2, then (f1 f2) f3, and so on."""
+        operations replaces recursion, so nesting depth is bounded by memory.
+
+        ("mul", f1, ..., fn) evaluates its n factors, then makes one
+        ``product`` of them: for trees, one glue of all n and one prune.
+        That equals the left fold (f1 f2) f3 ... because the product is
+        associative; for trees, because the pruned retract of the glued
+        tree is unique.  The fold is kept in the tests as the oracle."""
         unary = {"plus": self.plus, "star": self.star, "inv": self.inv}
         values: List[Any] = []
         work: List[Any] = [node]
         while work:
             item = work.pop()
-            if isinstance(item, str):  # an operation on the values last pushed
-                if item == "mul":
-                    b = values.pop()
-                    values.append(self.mul(values.pop(), b))
-                else:
-                    values.append(unary[item](values.pop()))
+            if isinstance(item, int):  # the product of the values last pushed
+                factors = values[-item:]
+                del values[-item:]
+                values.append(self.product(factors))
+            elif isinstance(item, str):  # a unary operation on the value last pushed
+                values.append(unary[item](values.pop()))
             elif item[0] == "one":
                 values.append(self.one)
             elif item[0] == "atom":
                 values.append(self.atom(item[1]))
             elif item[0] == "mul":
-                todo: List[Any] = [item[1]]
-                for factor in item[2:]:
-                    todo += [factor, "mul"]
-                work.extend(reversed(todo))
+                work.append(len(item) - 1)
+                work.extend(reversed(item[1:]))
             else:
                 work += [item[0], item[1]]
         return values.pop()

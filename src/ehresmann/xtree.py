@@ -12,9 +12,12 @@ the input tree shared by every candidate (its docstring says why one pass
 suffices); the restart-loop definition is kept in the tests as an oracle.
 
 Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
-``T+`` re-points end := start; ``T*`` re-points start := end.  Pruned trees
-in which every vertex is reachable from the start by a directed path are
-the left-Ehresmann trees, closed under product and ``+``.
+``T+`` re-points end := start; ``T*`` re-points start := end.  A product
+of n factors glues all of them and prunes once (``tree_product``): the
+pruned retract of a tree is unique, so this equals any bracketing of
+two-factor products.  Pruned trees in which every vertex is reachable
+from the start by a directed path are the left-Ehresmann trees, closed
+under product and ``+``.
 
 Equality of pruned trees is isomorphism of bi-pointed labeled trees; both
 tree classes canonicalize vertex numbering from an AHU-style encoding
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .words import Word
 
@@ -373,15 +376,24 @@ def word_tree(w: Word) -> XTree:
     return XTree(len(w) + 1, edges, 0, len(w))
 
 
-def raw_product(s: RawTree, t: RawTree) -> RawTree:
-    """Glue end(s) = start(t); no pruning."""
-    def tmap(v: int) -> int:
-        if v == t.start:
-            return s.end
-        return s.nv + v - (1 if v > t.start else 0)
+def raw_product(*factors: RawTree) -> RawTree:
+    """Glue the end of each factor to the start of the next; no pruning.
 
-    edges = s.edges + tuple((tmap(a), lab, tmap(b)) for a, lab, b in t.edges)
-    return RawTree(s.nv + t.nv - 1, edges, s.start, tmap(t.end))
+    The first factor keeps its numbering; each later one is appended with
+    its start identified with the running end.  No factors give the
+    one-vertex tree.
+    """
+    if not factors:
+        return RawTree(1, (), 0, 0)
+    first = factors[0]
+    edges = list(first.edges)
+    nv, end = first.nv, first.end
+    for t in factors[1:]:
+        new = [nv + v - (v > t.start) for v in range(t.nv)]
+        new[t.start] = end
+        edges += [(new[a], lab, new[b]) for a, lab, b in t.edges]
+        nv, end = nv + t.nv - 1, new[t.end]
+    return RawTree(nv, tuple(edges), first.start, end)
 
 
 def raw_plus(t: RawTree) -> RawTree:
@@ -394,6 +406,19 @@ def raw_star(t: RawTree) -> RawTree:
 
 def tree_multiply(s: RawTree, t: RawTree) -> XTree:
     return prune(raw_product(s, t))
+
+
+def tree_product(factors: Iterable[RawTree]) -> XTree:
+    """f1 f2 ... fn with one prune of the glued tree.
+
+    Equal to folding ``tree_multiply`` over the factors: a prune deletes
+    branches off the trunk, so it is a retraction fixing the end, and it
+    extends by the identity to the factors glued after it.  Every partial
+    product is thus glued from a retract of the full raw tree, and a tree
+    and its retracts have one pruned retract, unique up to isomorphism.
+    No factors give the identity.
+    """
+    return prune(raw_product(*factors))
 
 
 def tree_plus(t: RawTree) -> XTree:

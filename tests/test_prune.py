@@ -1,11 +1,13 @@
 """One-pass pruning against the restart-loop oracle, and deep inputs."""
 
 import random
+from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
 import prune_oracle
 from ehresmann.xtree import (
+    IDENTITY_TREE,
     RawTree,
     XTree,
     canonicalize,
@@ -17,6 +19,7 @@ from ehresmann.xtree import (
     raw_product,
     raw_star,
     tree_multiply,
+    tree_product,
     trunk_word,
     word_tree,
 )
@@ -59,6 +62,14 @@ def test_prune_and_canonicalize_match_the_oracle_on_random_trees(raw, seed):
     assert prune_oracle.prune(raw, random.Random(seed)) == want
     assert type(got) is XTree
     assert canonicalize(raw) == prune_oracle.canonicalize(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(raw_trees(max_edges=10), max_size=5))
+def test_tree_product_matches_the_fold_of_tree_multiply(factors):
+    # one prune of all factors glued = one prune per factor, left to right;
+    # no factors give the identity, and one factor its pruning
+    assert tree_product(factors) == reduce(tree_multiply, factors, IDENTITY_TREE)
 
 
 def test_ten_thousand_edge_word_product():

@@ -1,5 +1,7 @@
 """Free inverse monoid elements as (prefix-closed set, point) pairs."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,10 +75,38 @@ def test_FA_FLA_membership():
 
 
 @given(elements, elements)
+def test_multiply_is_the_definition(p, q):
+    aset = p.aset | {words.gmul(p.point, b) for b in q.aset}
+    assert sch.munn_multiply(p, q) == sch.MunnElement(aset, words.gmul(p.point, q.point))
+
+
+@given(st.lists(elements, max_size=5))
+def test_product_matches_the_fold_of_multiply(ps):
+    assert sch.munn_product(ps) == reduce(sch.munn_multiply, ps, sch.MUNN_ONE)
+
+
+@given(group_words)
+def test_from_word_folds_the_generators(g):
+    gens = [sch.MunnElement(frozenset({(), (x,)}), (x,)) for x in g]
+    assert sch.munn_from_word(g) == reduce(sch.munn_multiply, gens, sch.MUNN_ONE)
+
+
+def in_right_ideal(p, r):
+    """r in pS  iff  p p^-1 r = r."""
+    return sch.munn_multiply(sch.munn_plus(p), r) == r
+
+
+def principal_intersection(p, q):
+    """A generator of pS n qS: inverse monoids are right coherent, with
+    pS n qS = (p p^-1 q q^-1) S."""
+    return sch.munn_multiply(sch.munn_plus(p), sch.munn_plus(q))
+
+
+@given(elements, elements)
 def test_right_ideal_membership_criterion(p, q):
     pq = sch.munn_multiply(p, q)
-    assert sch.munn_in_right_ideal(p, pq)
-    if sch.munn_in_right_ideal(p, q):
+    assert in_right_ideal(p, pq)
+    if in_right_ideal(p, q):
         # q really is a multiple of p, with cofactor p^-1 q
         s = sch.munn_multiply(sch.munn_inverse(p), q)
         assert sch.munn_multiply(p, s) == q
@@ -84,9 +114,9 @@ def test_right_ideal_membership_criterion(p, q):
 
 @given(elements, elements)
 def test_principal_intersection_generator(p, q):
-    gen = sch.munn_principal_intersection(p, q)
-    assert sch.munn_in_right_ideal(p, gen)
-    assert sch.munn_in_right_ideal(q, gen)
+    gen = principal_intersection(p, q)
+    assert in_right_ideal(p, gen)
+    assert in_right_ideal(q, gen)
 
 
 @given(elements)

@@ -1,11 +1,16 @@
-"""The one adapter over every model: idempotent test and powers."""
+"""The one adapter over every model: idempotent test, powers and term
+evaluation against the left-fold oracle."""
+
+import random
 
 import pytest
 
-from ehresmann import cli
+import eval_oracle
+from ehresmann import cli, xtree
 from ehresmann.structures import get_structure
 
 MODELS = ("fad", "flad", "fi", "fa", "fla", "sdp:Z", "sdp:F", "mm", "sz", "qn:3")
+LETTERS = {"fad": "ab", "flad": "ab", "sdp:Z": "ghe", "qn:3": "ghe"}
 
 
 def elements(s, letters):
@@ -50,3 +55,43 @@ def test_negative_powers_use_the_inverse():
     assert fi.power(x, -1) == cli.eval_term("x^-1", "fi")[1]
     with pytest.raises(ValueError, match=r"\^-1 is not defined in model fad"):
         get_structure("fad").power(get_structure("fad").atom("a"), -1)
+
+
+def random_node(rng, letters, unary, depth=3):
+    """A random parsed term: products of 2-6 factors, unary nodes, atoms, 1."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return ("one",) if rng.random() < 0.05 else ("atom", rng.choice(letters))
+    if roll < 0.5 and unary:
+        return (rng.choice(unary), random_node(rng, letters, unary, depth - 1))
+    n = rng.randint(2, 6)
+    return ("mul", *(random_node(rng, letters, unary, depth - 1) for _ in range(n)))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_eval_matches_the_left_fold(name):
+    s = get_structure(name, "xy")
+    letters = LETTERS.get(name, "xy")
+    unary = ["inv" if op == "inverse" else op for op in s.unary]  # node names
+    rng = random.Random(f"eval-{name}")
+    for _ in range(40):
+        node = random_node(rng, letters, unary)
+        assert s.eval(node) == eval_oracle.fold_eval(s, node), (name, node)
+
+
+def test_eval_and_the_fold_refuse_star_in_flad():
+    s = get_structure("flad")
+    node = cli.parse_term("a (b a)^* b")
+    for evaluate in (s.eval, lambda n: eval_oracle.fold_eval(s, n)):
+        with pytest.raises(ValueError, match=r"\^\* is not defined in model flad"):
+            evaluate(node)
+
+
+def test_a_word_of_128_letters_is_pruned_once(monkeypatch):
+    word = tuple("ab"[i % 3 == 0] for i in range(128))
+    calls = []
+    prune = xtree.prune
+    monkeypatch.setattr(xtree, "prune", lambda t: calls.append(t) or prune(t))
+    _, t = cli.eval_term(" ".join(word), "fad")
+    assert len(calls) == 1
+    assert t == xtree.word_tree(word)
