@@ -65,26 +65,6 @@ class CongGenSet:
 
 
 # ---------------------------------------------------------------------------
-# annihilator relations
-
-def lambda_related(u, v, a, b, N: int, ctx: Structure) -> Optional[Tuple[int, int]]:
-    """Least (m, n) with m, n <= N and u b a^m = v b a^n, if any."""
-    ub = ctx.mul(u, b)
-    vb = ctx.mul(v, b)
-    upow = [ub]
-    vpow = [vb]
-    for _ in range(N):
-        upow.append(ctx.mul(upow[-1], a))
-        vpow.append(ctx.mul(vpow[-1], a))
-    for total in range(0, 2 * N + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            if m <= N and n <= N and upow[m] == vpow[n]:
-                return (m, n)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # forbidden configurations
 
 def check_lemma_m_n(
@@ -94,23 +74,27 @@ def check_lemma_m_n(
     (n, n) — sampled; (2) witnesses u_i, v_i related at i but not i-1 — exact."""
     failures: List[Tuple[str, Any]] = []
     apow = [ctx.one]
-    for _ in range(N + 1):
+    for _ in range(N):
         apow.append(ctx.mul(apow[-1], a))
 
-    def uban(u, k):
-        return ctx.mul(ctx.mul(u, b), apow[k])
+    def uba(u, ks):
+        """[u b a^k for k in ks]"""
+        ub = ctx.mul(u, b)
+        return [ctx.mul(ub, apow[k]) for k in ks]
 
-    for u, v in itertools.product(sample_universe, repeat=2):
+    rows = [(u, uba(u, range(N + 1))) for u in sample_universe]
+    for (u, ru), (v, rv) in itertools.product(rows, repeat=2):
         for n in range(N + 1):
             for m in range(N + 1):
-                if uban(u, n) == uban(v, m) and uban(u, n) != uban(v, n):
+                if ru[n] == rv[m] and ru[n] != rv[n]:
                     failures.append(
                         ("1", {"u": ctx.describe(u), "v": ctx.describe(v), "m": m, "n": n})
                     )
     for i, (u, v) in enumerate(witnesses[:N], start=1):
-        if uban(u, i) != uban(v, i):
+        (u0, u1), (v0, v1) = uba(u, (i - 1, i)), uba(v, (i - 1, i))
+        if u1 != v1:
             failures.append(("2-eq", {"i": i}))
-        if uban(u, i - 1) == uban(v, i - 1):
+        if u0 == v0:
             failures.append(("2-neq", {"i": i}))
     notes = [
         f"condition (1) checked only over a sample of {len(sample_universe)} elements"
@@ -143,34 +127,28 @@ def check_forbidden_config(a, b, e_stream, N: int, ctx: Structure) -> ConfigRepo
 def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
     """The (g, h, e) conditions (0)-(4ii) with exponents bounded by N."""
     failures: List[Tuple[str, Any]] = []
-    mul = ctx.mul
-
-    def prod(*xs):
-        acc = ctx.one
-        for x in xs:
-            acc = mul(acc, x)
-        return acc
+    mul, prod = ctx.mul, ctx.product
 
     gp = [ctx.power(g, i) for i in range(N + 1)]
     hp = [ctx.power(h, i) for i in range(N + 1)]
 
-    if prod(e, e) != e:
+    if prod((e, e)) != e:
         failures.append(("0-e2", {}))
-    if prod(g, h) != prod(h, g):
+    if prod((g, h)) != prod((h, g)):
         failures.append(("0-gh", {}))
-    if prod(g, h, g) != g or prod(h, g, h) != h:
+    if prod((g, h, g)) != g or prod((h, g, h)) != h:
         failures.append(("0-ghg", {}))
-    if prod(h, g, e) != e or prod(e, h, g) != e:
+    if prod((h, g, e)) != e or prod((e, h, g)) != e:
         failures.append(("1-hge", {}))
     for n in range(1, N + 1):
-        if prod(e, gp[n], e, hp[n]) != prod(gp[n], e, hp[n], e):
+        if prod((e, gp[n], e, hp[n])) != prod((gp[n], e, hp[n], e)):
             failures.append(("2-g", {"n": n}))
-        if prod(e, hp[n], e, gp[n]) != prod(hp[n], e, gp[n], e):
+        if prod((e, hp[n], e, gp[n])) != prod((hp[n], e, gp[n], e)):
             failures.append(("2-h", {"n": n}))
     for m in range(1, N + 1):
         for n in range(1, N + 1):
-            lhs = prod(gp[m], e, hp[m])
-            rhs = prod(hp[n], e, gp[n])
+            lhs = prod((gp[m], e, hp[m]))
+            rhs = prod((hp[n], e, gp[n]))
             mid = mul(lhs, rhs)
             if lhs == mid or rhs == mid:
                 failures.append(("3i", {"m": m, "n": n}))
@@ -178,19 +156,19 @@ def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
         for n in range(0, N + 1):
             if m == n:
                 continue
-            x1 = prod(gp[m], e, hp[m])
-            if x1 == mul(x1, prod(gp[n], e, hp[n])):
+            x1 = prod((gp[m], e, hp[m]))
+            if x1 == mul(x1, prod((gp[n], e, hp[n]))):
                 failures.append(("3ii-g", {"m": m, "n": n}))
-            x2 = prod(hp[m], e, gp[m])
-            if x2 == mul(x2, prod(hp[n], e, gp[n])):
+            x2 = prod((hp[m], e, gp[m]))
+            if x2 == mul(x2, prod((hp[n], e, gp[n]))):
                 failures.append(("3ii-h", {"m": m, "n": n}))
     for n in range(1, N + 1):
-        base_el = prod(e, gp[n], e, hp[n])
+        base_el = prod((e, gp[n], e, hp[n]))
         for k in range(1, n):
-            if base_el == mul(base_el, prod(gp[k], e, hp[k])):
+            if base_el == mul(base_el, prod((gp[k], e, hp[k]))):
                 failures.append(("4i", {"n": n, "k": k}))
         for k in range(1, n + 1):
-            if base_el == mul(base_el, prod(hp[k], e, gp[k])):
+            if base_el == mul(base_el, prod((hp[k], e, gp[k]))):
                 failures.append(("4ii", {"n": n, "k": k}))
     return _finish(N, failures)
 

@@ -16,9 +16,9 @@ product (c d) theta_1 = c theta_1 * (c theta_2 . d theta_1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TypeAlias, Union
+from typing import Dict, List, Sequence, Tuple, TypeAlias, Union
 
-from . import words, xtree
+from . import words
 from .normalform import BXLetter, is_word_letter, merge
 from .words import GroupWord, Word, format_group_word
 from .xtree import XTree, tree_multiply
@@ -44,14 +44,6 @@ class CXWord:
             if is_word_letter(p):
                 out = out + p
         return out
-
-    def shape(self) -> str:
-        """One of tt, tf, ft, ff ('t' = word at that extremity), or '1'."""
-        if not self.parts:
-            return "1"
-        first = "t" if is_word_letter(self.parts[0]) else "f"
-        last = "t" if is_word_letter(self.parts[-1]) else "f"
-        return first + last
 
 
 def cx_multiply(c: CXWord, d: CXWord) -> CXWord:
@@ -86,15 +78,6 @@ class ZXElement:
     def es_map(self) -> Dict[GroupWord, XTree]:
         return dict(self.es)
 
-    def to_json(self) -> dict:
-        return {
-            "ys": [
-                {"x": x, "h": format_group_word(h)}
-                for x, h in sorted(self.ys, key=lambda p: (p[0], p[1]))
-            ],
-            "es": [{"h": format_group_word(h), "f": f.to_json()} for h, f in self.es],
-        }
-
     def __repr__(self) -> str:
         ys = " ".join(f"y[{x},{format_group_word(h)}]" for x, h in sorted(self.ys))
         es = " ".join(f"e[{format_group_word(h)}]" for h, _ in self.es)
@@ -102,15 +85,6 @@ class ZXElement:
 
 
 ZX_ONE = ZXElement(frozenset(), ())
-
-
-def zx_from_json(data: dict) -> ZXElement:
-    ys = {(d["x"], words.parse_group_word(d["h"])) for d in data["ys"]}
-    es = {
-        words.parse_group_word(d["h"]): xtree.tree_from_json(d["f"], pruned=True)
-        for d in data["es"]
-    }
-    return ZXElement.make(ys, es)
 
 
 def zx_multiply(a: ZXElement, b: ZXElement) -> ZXElement:
@@ -135,20 +109,6 @@ def tau(w: Word, h: GroupWord = ()) -> ZXElement:
         ys.add((x, cur))
         cur = words.gmul(cur, ((x, 1),))
     return ZXElement.make(ys, {})
-
-
-def tau_factor(v: Word, h: GroupWord, w: Word) -> Optional[Tuple[Word, Word]]:
-    """If tau(v, h) is a factor of tau(w, 1), return the flanking words
-    (h as a word, u) with w = h v u; otherwise None.  Exact criterion:
-    the factorization exists iff h is positive and w = h v u."""
-    if not words.is_positive(h):
-        return None
-    hw = words.group_to_word(h)
-    if len(hw) + len(v) > len(w):
-        return None
-    if w[: len(hw)] != hw or w[len(hw): len(hw) + len(v)] != v:
-        return None
-    return hw, w[len(hw) + len(v):]
 
 
 @dataclass(frozen=True)

@@ -31,28 +31,6 @@ class CayleySubgraph:
     vertices: FrozenSet[Any]
     edges: FrozenSet[CayleyEdge]
 
-    def validate(self) -> None:
-        one = self.base.identity()
-        if one not in self.vertices:
-            raise ValueError("subgraph must contain the identity vertex")
-        adj = {v: [] for v in self.vertices}
-        for h, x in self.edges:
-            hx = _step(self.base, h, x)
-            if h not in self.vertices or hx not in self.vertices:
-                raise ValueError("edge endpoint outside vertex set")
-            adj[h].append(hx)
-            adj[hx].append(h)
-        seen = {one}
-        stack = [one]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != set(self.vertices):
-            raise ValueError("subgraph is not connected to 1")
-
 
 def _step(base: BaseMonoid, h: Any, x: str) -> Any:
     """The head h.x of the Cayley edge (h, x)."""
@@ -127,12 +105,11 @@ def mm_to_munn(p: MMElement) -> MunnElement:
 
 def munn_to_mm(base: BaseMonoid, p: MunnElement) -> MMElement:
     """Rebuild the (unique) connected Cayley subgraph on a prefix-closed set."""
-    edges = set()
-    for h in p.aset:
-        for name in {n for g in p.aset for n, _ in g} | set(getattr(base, "alphabet", ())):
-            if words.gmul(h, ((name, 1),)) in p.aset:
-                edges.add((h, name))
-    return MMElement(CayleySubgraph(base, p.aset, frozenset(edges)), p.point)
+    names = {n for g in p.aset for n, _ in g} | set(getattr(base, "alphabet", ()))
+    edges = frozenset(
+        (h, name) for h in p.aset for name in names if words.gmul(h, ((name, 1),)) in p.aset
+    )
+    return MMElement(CayleySubgraph(base, p.aset, edges), p.point)
 
 
 @dataclass(frozen=True)

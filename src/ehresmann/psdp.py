@@ -38,9 +38,6 @@ class BaseMonoid:
     def element_to_json(self, x: Any) -> Any:
         return x
 
-    def element_from_json(self, data: Any) -> Any:
-        return data
-
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.__dict__ == getattr(other, "__dict__", None)
 
@@ -85,9 +82,6 @@ class FreeMonoid(BaseMonoid):
     def element_to_json(self, x: Word) -> str:
         return words.format_word(x)
 
-    def element_from_json(self, data: str) -> Word:
-        return words.parse_word(data)
-
 
 class FreeGroup(BaseMonoid):
     """F_X for a finite alphabet; elements are reduced group words."""
@@ -109,9 +103,6 @@ class FreeGroup(BaseMonoid):
 
     def element_to_json(self, x: GroupWord) -> str:
         return words.format_group_word(x)
-
-    def element_from_json(self, data: str) -> GroupWord:
-        return words.parse_group_word(data)
 
 
 @dataclass(frozen=True)
@@ -142,11 +133,6 @@ def sdp_identity(base: BaseMonoid) -> PSetElement:
     return PSetElement(base, frozenset(), base.identity())
 
 
-def sdp_from_json(base: BaseMonoid, data: dict) -> PSetElement:
-    dec = base.element_from_json
-    return PSetElement(base, frozenset(dec(e) for e in data["set"]), dec(data["point"]))
-
-
 def _check_same_base(p: PSetElement, q: PSetElement) -> None:
     if p.base != q.base:
         raise ValueError(f"mixed bases {p.base!r} and {q.base!r}")
@@ -175,8 +161,3 @@ def sdp_star(p: PSetElement) -> PSetElement:
 def sdp_plus(p: PSetElement) -> PSetElement:
     """(Y, g)+ = (Y, 1)."""
     return PSetElement(p.base, p.elems, p.base.identity())
-
-
-def sdp_leq_R(p: PSetElement, q: PSetElement) -> bool:
-    """p <=_R~ q  iff  (q)+ p = p."""
-    return sdp_multiply(sdp_plus(q), p) == p

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from . import words
-from .words import GroupWord, Word
+from .words import GroupWord
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,6 @@ class MunnElement:
         }
 
 
-def munn_from_json(data: dict) -> MunnElement:
-    return MunnElement(
-        frozenset(words.parse_group_word(s) for s in data["set"]),
-        words.parse_group_word(data["point"]),
-    )
-
-
 MUNN_ONE = MunnElement(frozenset({words.GEMPTY}), words.GEMPTY)
 
 
@@ -63,12 +56,13 @@ def munn_product(factors: Iterable[MunnElement]) -> MunnElement:
     """(A1, a1) ... (An, an) = (A1 u a1 A2 u ... u a1...a(n-1) An, a1...an).
 
     One set is built and checked for prefix closure once; no factors give
-    the identity.
+    the identity and a lone factor is returned as it is.
     """
-    factors = iter(factors)
-    first = next(factors, MUNN_ONE)
+    first, *rest = tuple(factors) or (MUNN_ONE,)
+    if not rest:
+        return first
     aset, point = set(first.aset), first.point
-    for q in factors:
+    for q in rest:
         aset.update(words.gmul(point, b) for b in q.aset)
         point = words.gmul(point, q.point)
     return MunnElement(frozenset(aset), point)

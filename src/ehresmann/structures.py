@@ -74,10 +74,7 @@ class Structure:
     def power(self, a, n: int):
         if n < 0:
             a, n = self.inv(a), -n
-        acc = self.one
-        for _ in range(n):
-            acc = self.mul(acc, a)
-        return acc
+        return self.product([a] * n) if n else self.one
 
     def is_E_idempotent(self, a) -> bool:
         if self.idempotent is not None:

@@ -4,15 +4,10 @@ A positive word is a tuple of letter names, e.g. ``("x", "y", "x")``.
 A group word is a tuple of signed letters ``(name, sign)`` with sign +1/-1,
 kept *reduced* at all times (no adjacent ``x x^-1`` pair).  The empty tuple
 is the identity in both cases.
-
-Text syntax: letters are identifiers separated by whitespace, with an
-optional ``^-1`` suffix, and ``1`` denotes the empty word, e.g.
-``"x y^-1 x"``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Tuple
 
 Word = Tuple[str, ...]
@@ -21,28 +16,6 @@ GroupWord = Tuple[SignedLetter, ...]
 
 EMPTY: Word = ()
 GEMPTY: GroupWord = ()
-
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(\^-1)?|1")
-
-
-def reduce_group_word(letters: Iterable[SignedLetter]) -> GroupWord:
-    """Freely reduce a sequence of signed letters."""
-    out: list[SignedLetter] = []
-    for name, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"bad sign {sign!r}")
-        if out and out[-1][0] == name and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((name, sign))
-    return tuple(out)
-
-
-def is_reduced(g: GroupWord) -> bool:
-    return all(
-        not (g[i][0] == g[i + 1][0] and g[i][1] == -g[i + 1][1])
-        for i in range(len(g) - 1)
-    )
 
 
 def gmul(g: GroupWord, h: GroupWord) -> GroupWord:
@@ -62,13 +35,6 @@ def word_to_group(w: Word) -> GroupWord:
     return tuple((name, 1) for name in w)
 
 
-def group_to_word(g: GroupWord) -> Word:
-    """Positive part view; raises if g contains an inverse letter."""
-    if any(sign != 1 for _, sign in g):
-        raise ValueError(f"{format_group_word(g)} is not a positive word")
-    return tuple(name for name, _ in g)
-
-
 def is_positive(g: GroupWord) -> bool:
     return all(sign == 1 for _, sign in g)
 
@@ -83,40 +49,8 @@ def is_prefix_closed(aset: Iterable[GroupWord]) -> bool:
     return all(p in s for g in s for p in prefixes(g))
 
 
-def prefix_closure(aset: Iterable[GroupWord]) -> frozenset:
-    return frozenset(p for g in aset for p in prefixes(g))
-
-
 def is_suffix(suffix: Word, w: Word) -> bool:
     return len(suffix) <= len(w) and w[len(w) - len(suffix):] == suffix
-
-
-def parse_word(text: str) -> Word:
-    g = parse_group_word(text)
-    return group_to_word(g)
-
-
-def parse_group_word(text: str) -> GroupWord:
-    """Parse e.g. ``"x y^-1 x"``; ``"1"`` is the empty word."""
-    pos = 0
-    letters: list[SignedLetter] = []
-    text = text.strip()
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad word syntax at {text[pos:]!r}")
-        tok = m.group(0)
-        pos = m.end()
-        if tok == "1":
-            continue
-        if tok.endswith("^-1"):
-            letters.append((tok[:-3], -1))
-        else:
-            letters.append((tok, 1))
-    return reduce_group_word(letters)
 
 
 def format_group_word(g: GroupWord) -> str:

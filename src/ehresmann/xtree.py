@@ -54,30 +54,6 @@ class RawTree:
         if not isinstance(self.edges, tuple):
             object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
 
-    def validate(self) -> None:
-        n = self.nv
-        if n < 1:
-            raise ValueError("tree needs at least one vertex")
-        if len(self.edges) != n - 1:
-            raise ValueError("a tree on n vertices has n-1 edges")
-        for s, _, d in self.edges:
-            if not (0 <= s < n and 0 <= d < n) or s == d:
-                raise ValueError("bad edge endpoints")
-        if not (0 <= self.start < n and 0 <= self.end < n):
-            raise ValueError("start/end out of range")
-        adj = _adjacency(self)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for _, _, w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            raise ValueError("tree is not connected")
-        trunk_path(self)  # raises if there is no directed start->end path
-
     def to_json(self) -> dict:
         return {
             "vertices": list(range(self.nv)),
@@ -108,22 +84,6 @@ class RawTree:
 @dataclass(frozen=True, repr=False)
 class XTree(RawTree):
     """A pruned tree in canonical numbering; construct via prune()."""
-
-
-def tree_from_json(data: dict, pruned: bool = False):
-    t = RawTree(
-        len(data["vertices"]),
-        tuple((e["from"], e["label"], e["to"]) for e in data["edges"]),
-        data["start"],
-        data["end"],
-    )
-    t.validate()
-    if pruned:
-        p = prune(t)
-        if len(p.edges) != len(t.edges):
-            raise ValueError("tree is not pruned")
-        return p
-    return t
 
 
 def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
@@ -360,10 +320,6 @@ def prune(t: RawTree) -> XTree:
     return _numbered(XTree, t.start, t.end, children)
 
 
-def is_pruned(t: RawTree) -> bool:
-    return len(prune(t).edges) == len(t.edges)
-
-
 IDENTITY_TREE = XTree(1, (), 0, 0)
 
 
@@ -456,21 +412,6 @@ def is_left_ehresmann(t: RawTree) -> bool:
 def leq_nat(e: XTree, f: XTree) -> bool:
     """Natural order on idempotent trees: e <= f iff ef = e."""
     return tree_multiply(e, f) == e
-
-
-def depth_undirected(t: RawTree) -> int:
-    """Longest (necessarily simple) path in the tree starting at start."""
-    adj = _adjacency(t)
-    dist = {t.start: 0}
-    order = [t.start]
-    best = 0
-    for v in order:
-        for _, _, w, _ in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                best = max(best, dist[w])
-                order.append(w)
-    return best
 
 
 def depth_directed(t: RawTree) -> int:

@@ -89,11 +89,44 @@ def test_triangle_certificate():
     assert report.verdict == "pass", report.to_json()
 
 
-def test_lambda_related_generators():
-    ctx, a, b, _, _ = co.instance_fi()
-    u = ctx.mul(ctx.mul(ctx.one, b), a)
-    v = ctx.mul(b, a)
-    assert co.lambda_related(u, v, a, b, 3, ctx) == (0, 0)
+def lemma_m_n_failures(a, b, witnesses, N, universe, ctx):
+    """The failures of check_lemma_m_n, each u b a^k recomputed where it is
+    compared."""
+    apow = [ctx.one]
+    for _ in range(N):
+        apow.append(ctx.mul(apow[-1], a))
+
+    def uban(u, k):
+        return ctx.mul(ctx.mul(u, b), apow[k])
+
+    failures = []
+    for u, v in itertools.product(universe, repeat=2):
+        for n in range(N + 1):
+            for m in range(N + 1):
+                if uban(u, n) == uban(v, m) and uban(u, n) != uban(v, n):
+                    failures.append(
+                        ("1", {"u": ctx.describe(u), "v": ctx.describe(v), "m": m, "n": n})
+                    )
+    for i, (u, v) in enumerate(witnesses[:N], start=1):
+        if uban(u, i) != uban(v, i):
+            failures.append(("2-eq", {"i": i}))
+        if uban(u, i - 1) == uban(v, i - 1):
+            failures.append(("2-neq", {"i": i}))
+    return sorted(failures, key=lambda f: f[0])
+
+
+def test_lemma_m_n_failures_match_the_recomputing_loop():
+    # in S(Z) with a = g, u a^1 = v a^0 for u = 1, v = g, so condition (1)
+    # fails; the witnesses fail both halves of condition (2)
+    ctx = get_structure("sdp:Z")
+    g, h, e = (ctx.atom(x) for x in "ghe")
+    universe = [ctx.one, g, h, e, ctx.mul(e, g)]
+    witnesses = [(g, h), (e, e), (ctx.one, g)]
+    N = 3
+    report = co.check_lemma_m_n(g, ctx.one, witnesses, N, universe, ctx)
+    want = lemma_m_n_failures(g, ctx.one, witnesses, N, universe, ctx)
+    assert report.failures == want
+    assert {c for c, _ in want} == {"1", "2-eq", "2-neq"}
 
 
 def test_report_json_schema():

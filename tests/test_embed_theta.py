@@ -20,8 +20,8 @@ def test_make_normalizes():
     c = et.CXWord.make([("a",), (), ("b",), AP, AP])
     assert len(c.parts) == 2
     assert c.trunk() == ("a", "b")
-    assert c.shape() == "tf"
-    assert et.CXWord.make([]).shape() == "1"
+    assert c.parts == (("a", "b"), AP)
+    assert et.CXWord.make([]).parts == ()
 
 
 def test_multiply_merges_at_the_seam():
@@ -74,15 +74,6 @@ def test_y_and_e_generators_differ():
     assert ya.zx != ea.zx
 
 
-def test_tau_factor_exact_criterion():
-    # tau(v, h) divides tau(w, 1) iff h is positive and w = h v u
-    assert et.tau_factor(("b",), (("a", 1),), ("a", "b", "c")) == (("a",), ("c",))
-    assert et.tau_factor(("b",), (("a", -1),), ("a", "b", "c")) is None
-    assert et.tau_factor(("b",), (), ("a", "b")) is None
-    got = et.tau_factor((), (), ("a",))
-    assert got == ((), ("a",))
-
-
 def test_theta_morphism_law_random():
     rng = random.Random(6)
     for _ in range(500):
@@ -110,10 +101,3 @@ def test_theta_separates_normalized_words():
             img = et.theta(c)
             prev = seen.setdefault((img.zx, img.trunk), c)
             assert prev == c, (prev, c)
-
-
-def test_json_roundtrip():
-    rng = random.Random(8)
-    for _ in range(50):
-        z = et.theta(random_cx(rng)).zx
-        assert et.zx_from_json(z.to_json()) == z

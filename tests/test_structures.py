@@ -95,3 +95,6 @@ def test_a_word_of_128_letters_is_pruned_once(monkeypatch):
     _, t = cli.eval_term(" ".join(word), "fad")
     assert len(calls) == 1
     assert t == xtree.word_tree(word)
+    fad = get_structure("fad")
+    assert fad.power(fad.atom("a"), 128) == xtree.word_tree(("a",) * 128)
+    assert len(calls) == 2
