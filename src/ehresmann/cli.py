@@ -151,7 +151,7 @@ def _forbidden_config(model=None, depth=None, example=None, a=None, b=None, **_)
         example = example or "fi"
         if example not in ("fi", "freemonoid", "mm", "fad"):
             raise ValueError(f"unknown example {example!r}")
-        ctx, a_val, b_val, e = getattr(co, "instance_" + example)()[:4]
+        ctx, a_val, b_val, e = getattr(co, "instance_" + example)()
     return co.check_forbidden_config(a_val, b_val, e, N, ctx)
 
 
@@ -225,7 +225,12 @@ def _right_intersect(s=None, t=None, bound=None, **_):
 def _mm_fi_iso(bound=None, **_):
     bound = _size("bound", bound, 4)
     base = psdp.FreeGroup(("x", "y"))
-    sig = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+    # (letter, its MM step, its Munn step) for x, x^-1, y, y^-1
+    steps = []
+    for name in "xy":
+        gen = ex.mm_generator(base, name)
+        for letter, step in (((name, 1), gen), ((name, -1), ex.mm_inverse(gen))):
+            steps.append((letter, step, sch.munn_from_word((letter,))))
     failures = []
     stack = [((), ex.mm_identity(base), sch.MUNN_ONE)]
     while stack:
@@ -233,16 +238,9 @@ def _mm_fi_iso(bound=None, **_):
         if ex.mm_to_munn(mm) != mun or ex.munn_to_mm(base, mun) != mm:
             failures.append(("iso", {"word": seq}))
         if len(seq) < bound:
-            for letter in sig:
-                gen = ex.mm_generator(base, letter[0])
-                step = gen if letter[1] == 1 else ex.mm_inverse(gen)
-                stack.append(
-                    (
-                        seq + (letter,),
-                        ex.mm_multiply(mm, step),
-                        sch.munn_multiply(mun, sch.munn_from_word((letter,))),
-                    )
-                )
+            for letter, mm_step, munn_step in steps:
+                mm2 = ex.mm_multiply(mm, mm_step)
+                stack.append((seq + (letter,), mm2, sch.munn_multiply(mun, munn_step)))
     return co._finish(bound, failures)
 
 

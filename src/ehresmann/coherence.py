@@ -43,15 +43,9 @@ class ConfigReport:
         }
 
 
-def _finish(depth: int, failures, notes=(), inconclusive: bool = False) -> ConfigReport:
+def _finish(depth: int, failures, notes=()) -> ConfigReport:
     failures = sorted(failures, key=lambda f: f[0])
-    if failures:
-        verdict = "fail"
-    elif inconclusive:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
-    return ConfigReport(verdict, depth, failures, list(notes))
+    return ConfigReport("fail" if failures else "pass", depth, failures, list(notes))
 
 
 @dataclass(frozen=True)
@@ -400,25 +394,6 @@ def _enum(labels, max_edges) -> Tuple[XTree, ...]:
     return _ENUM_CACHE[key]
 
 
-def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None) -> bool:
-    """Bounded search for A with T A = U (right) or A T = U (left).
-
-    A False result only means "not found within the bound" unless an exact
-    criterion applies; callers report it as inconclusive.
-    """
-    if bound is None:
-        bound = len(T.edges) + len(U.edges)
-    labels = sorted(xtree.label_set(T) | xtree.label_set(U)) or ["a"]
-    if side == "left":
-        found = left_divide(T, U)
-        if found is not None:
-            return True
-        return any(tree_multiply(A, T) == U for A in _enum(labels, bound))
-    if side == "right":
-        return any(tree_multiply(T, A) == U for A in _enum(labels, bound))
-    raise ValueError("side must be left or right")
-
-
 def right_ideal_intersection_FLAd(
     S: XTree,
     T: XTree,
@@ -468,13 +443,7 @@ def instance_fi():
             elems.add(cur)
         return PSetElement(base, frozenset(elems), one)
 
-    def star_set(i: int) -> frozenset:
-        out = {(("g", -1),) * i + (("h", -1),)}
-        for k in range(0, i + 1):
-            out.add((("g", -1),) * k)
-        return frozenset(out)
-
-    return semidirect(base), a, b, e, star_set
+    return semidirect(base), a, b, e
 
 
 def instance_freemonoid():
@@ -490,12 +459,7 @@ def instance_freemonoid():
     def e(i: int) -> PSetElement:
         return PSetElement(base, frozenset({xp(2 * i)}), xp(0))
 
-    def star_set(i: int) -> frozenset:
-        if i == 0:
-            return frozenset({xp(1)})
-        return frozenset({xp(-2 * i + 1)}) | frozenset(xp(2 * (k - i)) for k in range(i + 1))
-
-    return semidirect(base), a, b, e, star_set
+    return semidirect(base), a, b, e
 
 
 def instance_mm():

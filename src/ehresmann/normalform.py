@@ -60,15 +60,6 @@ class NormalForm:
     def m(self) -> int:
         return len(self.idems)
 
-    def letters(self) -> Tuple[BXLetter, ...]:
-        out: List[BXLetter] = [self.words[0]]
-        for e, t in zip(self.idems, self.words[1:]):
-            out.extend((e, t))
-        return tuple(x for x in out if x != ())
-
-    def tree(self) -> XTree:
-        return eval_to_tree(self.letters())
-
     def __repr__(self) -> str:
         bits = [format_word(self.words[0])]
         for e, t in zip(self.idems, self.words[1:]):

@@ -24,7 +24,6 @@ class BaseMonoid:
     """Base monoid interface: canonical hashable elements, total multiply."""
 
     name = "base"
-    is_group = False
 
     def identity(self) -> Any:
         raise NotImplementedError
@@ -52,7 +51,6 @@ class IntegersAdd(BaseMonoid):
     """The group of integers under addition."""
 
     name = "Z"
-    is_group = True
 
     def identity(self) -> int:
         return 0
@@ -66,8 +64,6 @@ class IntegersAdd(BaseMonoid):
 
 class FreeMonoid(BaseMonoid):
     """X* for a finite alphabet; elements are positive words."""
-
-    is_group = False
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
@@ -85,8 +81,6 @@ class FreeMonoid(BaseMonoid):
 
 class FreeGroup(BaseMonoid):
     """F_X for a finite alphabet; elements are reduced group words."""
-
-    is_group = True
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)

@@ -9,7 +9,11 @@ the tree fixing the attachment vertex.  A tree is *pruned* when no branch
 can be deleted.  ``prune`` finds all deletable branches in one top-down pass
 over the tree rooted at the start, with one memoized simulation relation on
 the input tree shared by every candidate (its docstring says why one pass
-suffices); the restart-loop definition is kept in the tests as an oracle.
+suffices); the restart-loop definition is kept in the tests as an oracle
+(``tests/prune_oracle.py``).  ``trunk_factorization`` cuts a pruned tree
+into the idempotent bundles of branches at its trunk vertices without
+pruning again; the factorization that prunes every bundle is kept in
+``tests/normalform_oracle.py``.
 
 Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
 ``T+`` re-points end := start; ``T*`` re-points start := end.  A product
@@ -30,9 +34,8 @@ inside the interpreter's tuple comparison.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .words import Word
 
@@ -389,11 +392,11 @@ def is_idempotent(t: XTree) -> bool:
     return t.start == t.end
 
 
-def directed_reachable(t: RawTree, source: Optional[int] = None) -> FrozenSet[int]:
+def directed_reachable(t: RawTree) -> FrozenSet[int]:
     out: List[List[int]] = [[] for _ in range(t.nv)]
     for s, _, d in t.edges:
         out[s].append(d)
-    seen = {t.start if source is None else source}
+    seen = {t.start}
     stack = list(seen)
     while stack:
         v = stack.pop()
@@ -441,54 +444,26 @@ def trunk_factorization(t: XTree) -> Tuple[Tuple[XTree, ...], Word]:
     """Factor T = e_0 x_1 e_1 ... x_l e_l along the trunk.
 
     Returns (idempotents e_0..e_l, trunk word x_1..x_l); e_i is the
-    idempotent tree of all branches hanging at the i-th trunk vertex.
+    idempotent tree of all branches hanging at the i-th trunk vertex v_i.
+    T is rooted and coded once, and each e_i is numbered straight from T's
+    sorted children, without v_i's trunk child; no bundle is pruned:
+
+    * A branch of e_i is a branch of T, and a map of it into the rest of
+      e_i is a map into the rest of T.  So a removable branch of e_i would
+      be removable in T, and every bundle of a pruned T is already pruned.
+    * The codes below v_i are T's own codes (T's end is on the trunk, not
+      in a branch), and dropping the trunk child from v_i's sorted children
+      leaves them sorted.  So T's children give e_i the canonical
+      numbering that ``prune`` would.
     """
-    word, trunk_edges, trunk_verts = trunk_path(t)
-    trunk_set = set(trunk_edges)
-    _, children, _ = _rooted_children(t)
+    parent, children, order = _rooted_children(t)
+    word, _, trunk_verts = _trunk(t, parent, children)
+    _codes(order, children, t.end)
     idems: List[XTree] = []
-    for v in trunk_verts:
-        verts = [v]
-        edges: List[int] = []
-        stack = [(v, True)]
-        while stack:
-            u, at_root = stack.pop()
-            for _, _, w, i in children[u]:
-                if at_root and i in trunk_set:
-                    continue
-                verts.append(w)
-                edges.append(i)
-                stack.append((w, False))
-        newid = {u: k for k, u in enumerate(verts)}
-        sub = RawTree(
-            len(verts),
-            tuple(
-                (newid[t.edges[i][0]], t.edges[i][1], newid[t.edges[i][2]])
-                for i in edges
-            ),
-            0,
-            0,
-        )
-        idems.append(prune(sub))
+    for v, nxt in zip(trunk_verts, trunk_verts[1:] + (None,)):
+        children[v] = [k for k in children[v] if k[2] != nxt]
+        idems.append(_numbered(XTree, v, v, children))
     return tuple(idems), word
-
-
-def random_raw_tree(rng: random.Random, labels, n_edges: int) -> RawTree:
-    """A random bi-pointed labeled tree (end picked among reachable vertices)."""
-    labels = list(labels)
-    edges: List[Edge] = []
-    for v in range(1, n_edges + 1):
-        anchor = rng.randrange(v)
-        lab = rng.choice(labels)
-        if rng.random() < 0.5:
-            edges.append((anchor, lab, v))
-        else:
-            edges.append((v, lab, anchor))
-    t = RawTree(n_edges + 1, tuple(edges), 0, 0)
-    start = rng.randrange(t.nv)
-    reach = sorted(directed_reachable(t, start))
-    end = rng.choice(reach)
-    return RawTree(t.nv, t.edges, start, end)
 
 
 def enumeration_order(t: RawTree):
@@ -535,7 +510,8 @@ def enumerate_trees(
                                 )
         levels.append(nxt)
 
-    out: Dict[tuple, XTree] = {}
+    # an XTree in canonical numbering is its own isomorphism key
+    out: Set[XTree] = set()
     for level in levels:
         for t in level.values():
             for end in directed_reachable(t):
@@ -545,5 +521,5 @@ def enumerate_trees(
                     raise ResourceGuardError(f"tree enumeration exceeded budget {budget}")
                 p = prune(cand)
                 if len(p.edges) == len(cand.edges):
-                    out.setdefault(canonical_encode(p), p)
-    return tuple(sorted(out.values(), key=enumeration_order))
+                    out.add(p)
+    return tuple(sorted(out, key=enumeration_order))

@@ -6,13 +6,13 @@ from functools import reduce
 from hypothesis import given, settings, strategies as st
 
 import prune_oracle
+from random_trees import raw_trees
 from ehresmann.xtree import (
     IDENTITY_TREE,
     RawTree,
     XTree,
     canonicalize,
     depth_directed,
-    directed_reachable,
     enumerate_trees,
     prune,
     raw_plus,
@@ -38,19 +38,6 @@ def test_prune_matches_the_oracle_on_enumerated_products():
                 want = prune(r)
                 assert want == prune_oracle.prune(r), r
                 assert want == prune_oracle.prune(r, rng), r
-
-
-@st.composite
-def raw_trees(draw, labels="abc", max_edges=40):
-    n = draw(st.integers(0, max_edges))
-    edges = []
-    for v in range(1, n + 1):
-        anchor = draw(st.integers(0, v - 1))
-        lab = draw(st.sampled_from(labels))
-        edges.append((anchor, lab, v) if draw(st.booleans()) else (v, lab, anchor))
-    t = RawTree(n + 1, tuple(edges), draw(st.integers(0, n)), 0)
-    end = draw(st.sampled_from(sorted(directed_reachable(t))))
-    return RawTree(t.nv, t.edges, t.start, end)
 
 
 @settings(max_examples=150, deadline=None)

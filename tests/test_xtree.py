@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import normalform_oracle
 import prune_oracle
+from random_trees import random_raw_tree, raw_trees
 from ehresmann import xtree
 from ehresmann.xtree import (
     IDENTITY_TREE,
@@ -18,7 +21,6 @@ from ehresmann.xtree import (
     leq_nat,
     letter_tree,
     prune,
-    random_raw_tree,
     tree_multiply,
     tree_plus,
     tree_star,
@@ -168,6 +170,39 @@ def test_trunk_factorization_recomposes():
         for x, e in zip(word, idems[1:]):
             acc = tree_multiply(tree_multiply(acc, letter_tree(x)), e)
         assert acc == t
+
+
+def _assert_factorization_matches_the_oracle(t):
+    idems, word = trunk_factorization(t)
+    assert (idems, word) == normalform_oracle.trunk_factorization(t), t
+    for e in idems:
+        assert type(e) is XTree
+        assert prune(e) == e
+
+
+def test_trunk_factorization_matches_the_oracle_on_small_trees():
+    trees = enumerate_trees("ab", 4)
+    assert len(trees) == 1722
+    for t in trees:
+        _assert_factorization_matches_the_oracle(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_trees())
+def test_trunk_factorization_matches_the_oracle_on_random_trees(raw):
+    _assert_factorization_matches_the_oracle(prune(raw))
+
+
+def test_trunk_factorization_prunes_nothing(monkeypatch):
+    # a pruned tree's bundles are pruned and canonically numbered already
+    BP = tree_plus(B)
+    t = xtree.tree_product([BP, A, BP, A, BP])
+    calls = []
+    real_prune = xtree.prune
+    monkeypatch.setattr(xtree, "prune", lambda t: calls.append(t) or real_prune(t))
+    idems, word = trunk_factorization(t)
+    assert word == ("a", "a") and idems == (BP, BP, BP)
+    assert calls == []
 
 
 def test_json_roundtrip_and_dot():
