@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from ehresmann.cli import CHECKS
+from ehresmann.cli import CHECKS, EXIT_CODES
 
 
 def main() -> int:
@@ -34,7 +34,7 @@ def main() -> int:
     for name, rep in sorted(reports.items()):
         mark = {"pass": "ok  ", "fail": "FAIL", "inconclusive": "????"}[rep.verdict]
         print(f"  {mark}  {name:30s} depth={rep.depth}  failures={len(rep.failures)}")
-        worst = max(worst, {"pass": 0, "fail": 1, "inconclusive": 2}[rep.verdict])
+        worst = max(worst, EXIT_CODES[rep.verdict])
     if args.json:
         print(json.dumps({k: r.to_json() for k, r in reports.items()}, indent=2))
     return worst

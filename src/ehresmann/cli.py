@@ -10,13 +10,16 @@ ample / left ample), sdp:Z, sdp:F (power-set semidirect products), mm
 (size-truncated quotient of S(Z)).  In sdp:Z and qn:<n> the letters g, h, e
 denote the standard triple ((0,+1), (0,-1), ({0},0)).
 
-Check exit codes: 0 pass, 1 fail, 2 inconclusive; errors, including a
-negative --depth or --bound, also exit 1.
+Each check takes the options listed by `ehres check NAME --help`.  Check
+exit codes: 0 pass, 1 fail, 2 inconclusive; errors, including a usage error
+or a negative --depth or --bound, also exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import itertools
 import json
 import re
@@ -124,21 +127,21 @@ def cx_from_term(text: str) -> et.CXWord:
 
 
 # ---------------------------------------------------------------------------
-# checks: CHECKS[name](**params) -> ConfigReport, where params are the
-# options of `ehres check` (unused ones are ignored)
+# checks: CHECKS[name](**params) -> ConfigReport; the keyword parameters of
+# each function, with their defaults, are the options of `ehres check name`
 
-def _size(what: str, value: Optional[int], default: int) -> int:
-    """The default only when no value was given; a negative one is an error."""
-    if value is None:
-        return default
+def _size(what: str, value: int) -> int:
+    """A depth or bound; a negative one is an error."""
     if value < 0:
         raise ValueError(f"{what} must not be negative, got {value}")
     return value
 
 
-def _forbidden_config(model=None, depth=None, example=None, a=None, b=None, **_):
-    N = _size("depth", depth, 5)
-    if a or b:
+def _forbidden_config(model=None, depth=5, example=None, a=None, b=None):
+    N = _size("depth", depth)
+    if a is not None or b is not None:
+        if example is not None:
+            raise ValueError("--example cannot be combined with --a/--b")
         name = get_structure(model or "fad").name
         if name not in ("fad", "flad"):
             raise ValueError("term overrides are supported for tree models only")
@@ -148,6 +151,8 @@ def _forbidden_config(model=None, depth=None, example=None, a=None, b=None, **_)
         b_val = eval_term(b or "1", name)[1]
         e = lambda i: ctx.plus(ctx.mul(b_val, ctx.power(a_val, i)))
     else:
+        if model is not None:
+            raise ValueError("--model applies only to the terms of --a/--b")
         example = example or "fi"
         if example not in ("fi", "freemonoid", "mm", "fad"):
             raise ValueError(f"unknown example {example!r}")
@@ -155,29 +160,29 @@ def _forbidden_config(model=None, depth=None, example=None, a=None, b=None, **_)
     return co.check_forbidden_config(a_val, b_val, e, N, ctx)
 
 
-def _bgr(model=None, depth=None, **_):
-    N = _size("depth", depth, 5)
-    ctx = get_structure(model or "sdp:Z")
+def _bgr(model="sdp:Z", depth=5):
+    N = _size("depth", depth)
+    ctx = get_structure(model)
     if not (ctx.name == "sdp:Z" or ctx.name.startswith("qn:")):
         raise ValueError("bgr runs in sdp:Z or qn:<n>")
     g, h, e = (ctx.atom(x) for x in "ghe")
     return co.check_bgr_config(g, h, e, N, ctx)
 
 
-def _ghe(model=None, depth=None, **_):
-    N = _size("depth", depth, 4)
-    ctx = get_structure(model or "qn:3")
+def _ghe(model="qn:3", depth=4):
+    N = _size("depth", depth)
+    ctx = get_structure(model)
     if not ctx.name.startswith("qn:"):
         raise ValueError("ghe runs in qn:<n>")
     return co.check_ghe_quotient_conditions(1, N, ctx)
 
 
-def _triangle(depth=None, **_):
-    return co.check_triangle(_size("depth", depth, 3))
+def _triangle(depth=3):
+    return co.check_triangle(_size("depth", depth))
 
 
-def _lemma_m_n(depth=None, **_):
-    N = _size("depth", depth, 3)
+def _lemma_m_n(depth=3):
+    N = _size("depth", depth)
     ctx, a, b, tri, _ = co.triangle_config(N)
     wits = []
     for i in range(1, N + 1):
@@ -190,8 +195,8 @@ def _lemma_m_n(depth=None, **_):
     return co.check_lemma_m_n(a, b, wits, N, universe, ctx)
 
 
-def _annihilator(term=None, **_):
-    t = eval_term(term or "b a^+", "flad")[1]
+def _annihilator(term="b a^+"):
+    t = eval_term(term, "flad")[1]
     gens = co.right_annihilator_FLAd(t)
     notes = [
         f"r(T) generated by {len(gens.pairs)} pair(s)",
@@ -200,9 +205,9 @@ def _annihilator(term=None, **_):
     return co.ConfigReport("pass", 0, [], notes)
 
 
-def _left_intersect(s=None, t=None, **_):
-    S = eval_term(s or "a", "flad")[1]
-    T = eval_term(t or "b", "flad")[1]
+def _left_intersect(s="a", t="b"):
+    S = eval_term(s, "flad")[1]
+    T = eval_term(t, "flad")[1]
     res = co.left_ideal_intersection_FLAd(S, T)
     verdict = "pass" if res.conclusive else "inconclusive"
     notes = [f"kind={res.kind}"]
@@ -213,17 +218,17 @@ def _left_intersect(s=None, t=None, **_):
     return co.ConfigReport(verdict, 0, [], notes)
 
 
-def _right_intersect(s=None, t=None, bound=None, **_):
-    S = eval_term(s or "a", "flad")[1]
-    T = eval_term(t or "b", "flad")[1]
-    cap = _size("bound", bound, len(S.edges) + len(T.edges) + 4)
+def _right_intersect(s="a", t="b", bound=None):
+    S = eval_term(s, "flad")[1]
+    T = eval_term(t, "flad")[1]
+    cap = len(S.edges) + len(T.edges) + 4 if bound is None else _size("bound", bound)
     Z = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
     notes = [f"|Z| = {len(Z)} at edge cap {cap}"] + [repr(v) for v in Z]
     return co.ConfigReport("pass", cap, [], notes)
 
 
-def _mm_fi_iso(bound=None, **_):
-    bound = _size("bound", bound, 4)
+def _mm_fi_iso(bound=4):
+    bound = _size("bound", bound)
     base = psdp.FreeGroup(("x", "y"))
     # (letter, its MM step, its Munn step) for x, x^-1, y, y^-1
     steps = []
@@ -244,14 +249,16 @@ def _mm_fi_iso(bound=None, **_):
     return co._finish(bound, failures)
 
 
-def _theta_morphism(gamma=None, delta=None, bound=None, **_):
-    bound = _size("bound", bound, 2)
-    if gamma or delta:
+def _theta_morphism(gamma=None, delta=None, bound=None):
+    if gamma is not None or delta is not None:
+        if bound is not None:
+            raise ValueError("--bound cannot be combined with --gamma/--delta")
         c = cx_from_term(gamma or "1")
         d = cx_from_term(delta or "1")
         ok = et.theta_morphism_check(c, d)
         failures = [] if ok else [("theta", {"gamma": repr(c), "delta": repr(d)})]
         return co._finish(0, failures)
+    bound = 2 if bound is None else _size("bound", bound)
     letters: List[Any] = [("a",), ("b",)]
     letters += [xtree.tree_plus(xtree.letter_tree(x)) for x in "ab"]
     cxs = [
@@ -281,23 +288,34 @@ CHECKS = {
     "theta-morphism": _theta_morphism,
 }
 
+EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
+
 
 def _report_exit(report: co.ConfigReport) -> int:
     print(json.dumps(report.to_json(), indent=2, sort_keys=True, default=repr))
-    return {"pass": 0, "fail": 1, "inconclusive": 2}[report.verdict]
+    return EXIT_CODES[report.verdict]
 
 
 def run_check(name: str, args) -> int:
-    if name not in CHECKS:
-        raise ValueError(f"unknown check {name!r}")
     params = {k: v for k, v in vars(args).items() if k not in ("command", "name")}
     return _report_exit(CHECKS[name](**params))
 
 
 # ---------------------------------------------------------------------------
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="ehres", description=__doc__)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other error (2 means inconclusive)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first call only: the per-check parsers take ~3 ms, and
+    `main` may run many times in one process."""
+    parser = _Parser(prog="ehres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a term in a model")
@@ -306,20 +324,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_eval.add_argument("--format", default="json", choices=("json", "dot", "text"))
 
     p_check = sub.add_parser("check", help="run a certificate check")
-    p_check.add_argument("name", choices=tuple(CHECKS))
-    p_check.add_argument("--model")
-    p_check.add_argument("--depth", type=int)
-    p_check.add_argument("--bound", type=int)
-    p_check.add_argument("--example")
-    p_check.add_argument("--a")
-    p_check.add_argument("--b")
-    p_check.add_argument("--s")
-    p_check.add_argument("--t")
-    p_check.add_argument("--term")
-    p_check.add_argument("--gamma")
-    p_check.add_argument("--delta")
+    checks = p_check.add_subparsers(dest="name", required=True)
+    for name, fn in CHECKS.items():
+        # an option not given is left out, so the signature's default applies;
+        # no prefixes, so `--b` of one check is never `--bound` of another
+        p = checks.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for param in inspect.signature(fn).parameters:
+            p.add_argument("--" + param, type=int if param in ("depth", "bound") else str)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "eval":
             structure, value = eval_term(args.term, args.model)

@@ -181,10 +181,10 @@ def _numbered(cls, start: int, end: int, children):
     return cls(len(newid), tuple(edges), newid[start], newid[end])
 
 
-def canonical_encode(t: RawTree, with_end: bool = True):
+def canonical_encode(t: RawTree):
     """AHU-style code rooted at start; equal codes <=> isomorphic trees."""
     _, children, order = _rooted_children(t)
-    return _codes(order, children, t.end if with_end else -1)[t.start]
+    return _codes(order, children, t.end)[t.start]
 
 
 def canonicalize(t: RawTree):
@@ -489,7 +489,7 @@ def enumerate_trees(
     """
     labels = sorted(labels)
     seed = RawTree(1, (), 0, 0)
-    levels: List[Dict[tuple, RawTree]] = [{canonical_encode(seed, with_end=False): seed}]
+    levels: List[Dict[tuple, RawTree]] = [{canonical_encode(seed): seed}]
     total = 1
     for _ in range(max_edges):
         nxt: Dict[tuple, RawTree] = {}
@@ -500,7 +500,7 @@ def enumerate_trees(
                     for o in orients:
                         e = (v, lab, t.nv) if o == 1 else (t.nv, lab, v)
                         cand = RawTree(t.nv + 1, t.edges + (e,), t.start, t.start)
-                        key = canonical_encode(cand, with_end=False)
+                        key = canonical_encode(cand)
                         if key not in nxt:
                             nxt[key] = cand
                             total += 1

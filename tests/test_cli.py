@@ -1,10 +1,14 @@
 """End-to-end tests of the `ehres` command line interface."""
 
+import functools
+import inspect
 import json
+import re
 
 import pytest
 
 from ehresmann import cli
+from ehresmann import coherence as co
 from ehresmann import scheiblich as sch
 from ehresmann import xtree
 
@@ -188,6 +192,80 @@ def test_registry_is_shared_with_the_parser(capsys):
     assert all(name in usage for name in cli.CHECKS)
     report = cli.CHECKS["bgr"](model="qn:3", depth=2)
     assert report.verdict == "pass" and report.depth == 2
+
+
+# -- options read off each check's signature -----------------------------------
+
+def usage_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a command line that argparse ends."""
+    with pytest.raises(SystemExit) as ended:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    return ended.value.code, out.out, out.err
+
+
+def params(name):
+    return list(inspect.signature(cli.CHECKS[name]).parameters)
+
+
+ALL_OPTIONS = sorted({p for name in cli.CHECKS for p in params(name)})
+
+
+@pytest.mark.parametrize("name", cli.CHECKS)
+def test_check_help_lists_exactly_its_parameters(capsys, name):
+    code, out, _ = usage_exit(capsys, "check", name, "--help")
+    assert code == 0
+    assert set(re.findall(r"--([a-z_]+)", out)) - {"help"} == set(params(name))
+
+
+@pytest.mark.parametrize("name", cli.CHECKS)
+def test_every_option_reaches_the_check(capsys, monkeypatch, name):
+    seen = {}
+
+    @functools.wraps(cli.CHECKS[name])  # so the parser reads the same signature
+    def record(**kwargs):
+        seen.update(kwargs)
+        return co.ConfigReport("pass", 0, [], [])
+
+    monkeypatch.setitem(cli.CHECKS, name, record)
+    argv = [x for p in params(name) for x in ("--" + p, "7")]
+    assert run(capsys, "check", name, *argv)[0] == 0
+    want = {p: 7 if p in ("depth", "bound") else "7" for p in params(name)}
+    assert seen == want
+
+
+@pytest.mark.parametrize("name", cli.CHECKS)
+def test_check_rejects_unknown_options_and_those_of_other_checks(capsys, name):
+    # among them mm-fi-iso --depth, triangle --bound and right-intersect --depth
+    for p in [p for p in ALL_OPTIONS if p not in params(name)] + ["foo"]:
+        code, out, err = usage_exit(capsys, "check", name, "--" + p, "1")
+        assert code == 1 and out == "", p
+        assert f"error: unrecognized arguments: --{p} 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "nosuch"),
+    ("check",),
+    ("eval", "a", "--format", "nosuch"),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = usage_exit(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("forbidden-config", "--example", "fi", "--a", "a"),
+    ("forbidden-config", "--example", "mm", "--b", "b"),
+    ("forbidden-config", "--model", "fad"),
+    ("forbidden-config", "--example", "mm", "--model", "fi"),
+    ("theta-morphism", "--bound", "1", "--gamma", "a"),
+    ("theta-morphism", "--bound", "2", "--delta", "a^+"),
+])
+def test_options_a_check_would_ignore_are_an_error(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--" in err
 
 
 # -- deep inputs ----------------------------------------------------------------
