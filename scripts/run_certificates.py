@@ -9,6 +9,7 @@ import json
 import sys
 
 from ehresmann.cli import CHECKS, EXIT_CODES
+from ehresmann.xtree import ResourceGuardError
 
 
 def main() -> int:
@@ -28,7 +29,11 @@ def main() -> int:
         ("ghe/Q3(Z)", "ghe", {"model": "qn:3", "depth": N}),
         ("triangle/S(x*)", "triangle", {"depth": min(N, 3)}),
     ]
-    reports = {name: CHECKS[check](**params) for name, check, params in sweep}
+    try:
+        reports = {name: CHECKS[check](**params) for name, check, params in sweep}
+    except (ValueError, ResourceGuardError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     worst = 0
     for name, rep in sorted(reports.items()):

@@ -24,7 +24,7 @@ import itertools
 import json
 import re
 import sys
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import coherence as co
 from . import embed_theta as et
@@ -149,15 +149,11 @@ def _forbidden_config(model=None, depth=5, example=None, a=None, b=None):
         ctx = get_structure("fad")
         a_val = eval_term(a or "1", name)[1]
         b_val = eval_term(b or "1", name)[1]
-        e = lambda i: ctx.plus(ctx.mul(b_val, ctx.power(a_val, i)))
     else:
         if model is not None:
             raise ValueError("--model applies only to the terms of --a/--b")
-        example = example or "fi"
-        if example not in ("fi", "freemonoid", "mm", "fad"):
-            raise ValueError(f"unknown example {example!r}")
-        ctx, a_val, b_val, e = getattr(co, "instance_" + example)()
-    return co.check_forbidden_config(a_val, b_val, e, N, ctx)
+        ctx, a_val, b_val = co.example(example or "fi")
+    return co.check_forbidden_config(a_val, b_val, N, ctx)
 
 
 def _bgr(model="sdp:Z", depth=5):
@@ -174,7 +170,7 @@ def _ghe(model="qn:3", depth=4):
     ctx = get_structure(model)
     if not ctx.name.startswith("qn:"):
         raise ValueError("ghe runs in qn:<n>")
-    return co.check_ghe_quotient_conditions(1, N, ctx)
+    return co.check_ghe_quotient_conditions(N, ctx)
 
 
 def _triangle(depth=3):
@@ -312,8 +308,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Built on the first call only: the per-check parsers take ~3 ms, and
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The root parser and, by name, the parsers of `eval` and of each check.
+    Built on the first call only: the per-check parsers take ~3 ms, and
     `main` may run many times in one process."""
     parser = _Parser(prog="ehres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,20 +319,27 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("term")
     p_eval.add_argument("--model", default="fad")
     p_eval.add_argument("--format", default="json", choices=("json", "dot", "text"))
+    leaves = {"eval": p_eval}
 
     p_check = sub.add_parser("check", help="run a certificate check")
     checks = p_check.add_subparsers(dest="name", required=True)
     for name, fn in CHECKS.items():
         # an option not given is left out, so the signature's default applies;
         # no prefixes, so `--b` of one check is never `--bound` of another
-        p = checks.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        p = leaves[name] = checks.add_parser(
+            name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for param in inspect.signature(fn).parameters:
             p.add_argument("--" + param, type=int if param in ("depth", "bound") else str)
-    return parser
+    return parser, leaves
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, leaves = _parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the root parser would report them under its own usage
+        leaves[args.name if args.command == "check" else "eval"].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "eval":
             structure, value = eval_term(args.term, args.model)

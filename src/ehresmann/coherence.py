@@ -1,11 +1,13 @@
 """Checkers for coherence obstructions and weak-coherence algorithms.
 
-The checkers verify finite certificates: special-annihilator witnesses,
-the (g, h, e) configuration, the x^k quotient conditions, the triangular-
-number witnesses, and the normal-form algorithms for left/right ideal
-intersections and right annihilators in the pruned-tree monoid of
-left-Ehresmann trees.  Nothing here decides coherence in general; bounded
-negative searches are reported as inconclusive, never as refutations.
+The checkers verify finite certificates: the forbidden configuration of
+b a^i with e_i = (b a^i)^+ (on the worked examples of ``example``), the
+(g, h, e) configuration, the quotient conditions on the subgroup <1> of Z,
+the triangular-number witnesses, and the normal-form algorithms for
+left/right ideal intersections and right annihilators in the pruned-tree
+monoid of left-Ehresmann trees.  Nothing here decides coherence in
+general; bounded negative searches are reported as inconclusive, never as
+refutations.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import expansions, normalform, psdp, xtree
-from .expansions import MMElement, QnElement
+from . import normalform, psdp, xtree
+from .expansions import QnElement
 from .psdp import PSetElement
 from .structures import Structure, get_structure, semidirect
 from .words import is_suffix
@@ -96,9 +98,15 @@ def check_lemma_m_n(
     return _finish(N, failures, notes)
 
 
-def check_forbidden_config(a, b, e_stream, N: int, ctx: Structure) -> ConfigReport:
+def check_forbidden_config(a, b, N: int, ctx: Structure) -> ConfigReport:
     """b a^i pairwise L~-incomparable; e_i idempotent with
-    e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1}."""
+    e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1}, for e_i = (b a^i)^+.
+
+    No other e_i can pass where (b a^i)^+ fails.  In a left E-Ehresmann
+    monoid x^+ is the least idempotent of E that fixes x on the left.  So if
+    some e in E fixes b a^i, then e (b a^i)^+ = (b a^i)^+, and were b a^{i-1}
+    fixed by (b a^i)^+, then e b a^{i-1} = e (b a^i)^+ b a^{i-1} = b a^{i-1}:
+    e would fix it too.  `idempotent` and `fixes` thus test the model's +."""
     failures: List[Tuple[str, Any]] = []
     ba = [b]
     for _ in range(N):
@@ -107,8 +115,8 @@ def check_forbidden_config(a, b, e_stream, N: int, ctx: Structure) -> ConfigRepo
         for j in range(N + 1):
             if i != j and ctx.leq_Ltilde(ba[i], ba[j]):
                 failures.append(("incomparable", {"i": i, "j": j}))
-    es = [e_stream(i) if callable(e_stream) else e_stream[i - 1] for i in range(1, N + 1)]
-    for i, e in enumerate(es, start=1):
+    for i in range(1, N + 1):
+        e = ctx.plus(ba[i])
         if not ctx.is_E_idempotent(e):
             failures.append(("idempotent", {"i": i}))
         if ctx.mul(e, ba[i]) != ba[i]:
@@ -167,49 +175,38 @@ def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
     return _finish(N, failures)
 
 
-def check_ghe_quotient_conditions(x, N: int, ctx: Structure) -> ConfigReport:
-    """The five non-relation families for the subgroup <x> in a quotient
-    of S(M); equality is equality in the quotient (implemented for Q_n,
-    the structure qn:<n>)."""
+def check_ghe_quotient_conditions(N: int, ctx: Structure) -> ConfigReport:
+    """The five non-relation families for the subgroup <1> of Z in a
+    quotient of S(Z); equality is equality in the quotient (implemented for
+    Q_n, the structure qn:<n>)."""
     failures: List[Tuple[str, Any]] = []
-    base = ctx.base
-
-    def xp(k: int):
-        acc = base.identity()
-        step = x if k >= 0 else base.invert(x)
-        for _ in range(abs(k)):
-            acc = base.multiply(acc, step)
-        return acc
 
     def el(exps) -> QnElement:
-        return QnElement(base, ctx.one.n, frozenset(xp(k) for k in exps), base.identity())
-
-    def related(p, q) -> bool:
-        return p == q
+        return QnElement(ctx.base, ctx.one.n, frozenset(exps), 0)
 
     for m in range(-N, N + 1):
         for n in range(-N, N + 1):
-            if m != n and related(el([m]), el([n])):
+            if m != n and el([m]) == el([n]):
                 failures.append(("1", {"m": m, "n": n}))
     for m in range(1, N + 1):
         for n in range(1, N + 1):
             pair = el([m, -n])
-            if related(pair, el([m])) or related(pair, el([-n])):
+            if pair == el([m]) or pair == el([-n]):
                 failures.append(("2", {"m": m, "n": n}))
     for m in range(0, N + 1):
         for n in range(0, N + 1):
             if m == n:
                 continue
-            if related(el([m, n]), el([m])):
+            if el([m, n]) == el([m]):
                 failures.append(("3+", {"m": m, "n": n}))
-            if related(el([-m, -n]), el([-m])):
+            if el([-m, -n]) == el([-m]):
                 failures.append(("3-", {"m": m, "n": n}))
     for n in range(1, N + 1):
         for k in range(1, n):
-            if related(el([0, n]), el([k])) or related(el([0, n]), el([0, k, n])):
+            if el([0, n]) == el([k]) or el([0, n]) == el([0, k, n]):
                 failures.append(("4", {"k": k, "n": n}))
         for k in range(1, n + 1):
-            if related(el([0, n]), el([-k])) or related(el([0, n]), el([-k, 0, n])):
+            if el([0, n]) == el([-k]) or el([0, n]) == el([-k, 0, n]):
                 failures.append(("5", {"k": k, "n": n}))
     return _finish(N, failures)
 
@@ -424,62 +421,31 @@ def right_ideal_intersection_FLAd(
 
 
 # ---------------------------------------------------------------------------
-# worked example instances (used by the CLI and the acceptance suite)
+# worked examples of the forbidden configuration (used by the CLI and the
+# acceptance suite)
 
-def instance_fi():
-    """S(F_{g,h}): a = ({1,g},g), b = ({1,h},h), e_i = ({1,h,hg,..,hg^i},1)."""
-    base = psdp.FreeGroup(("g", "h"))
-    one: tuple = ()
-    g = (("g", 1),)
-    h = (("h", 1),)
-    a = PSetElement(base, frozenset({one, g}), g)
-    b = PSetElement(base, frozenset({one, h}), h)
-
-    def e(i: int) -> PSetElement:
-        elems = {one, h}
-        cur = h
-        for _ in range(i):
-            cur = cur + g
-            elems.add(cur)
-        return PSetElement(base, frozenset(elems), one)
-
-    return semidirect(base), a, b, e
+# name -> (model, a, b): the two generators a and b of a registered model
+_EXAMPLES = {"fi": ("sdp:F", "g", "h"), "mm": ("mm", "x", "y"), "fad": ("fad", "a", "b")}
 
 
-def instance_freemonoid():
-    """S(F_x): a = ({1,x^2},x^2), b = ({x},1), e_i = ({x^{2i}},1)."""
-    base = psdp.FreeGroup(("x",))
+def example(name: str):
+    """(ctx, a, b) of a worked example:
 
-    def xp(k: int) -> tuple:
-        return (("x", 1 if k > 0 else -1),) * abs(k)
+    fi          S(F_{g,h}), a = ({1,g},g), b = ({1,h},h);
+    mm          M(F_{x,y}), a = (P_x, x), b = (P_y, y);
+    fad         pruned trees, a and b the generators;
+    freemonoid  S(F_x), a = ({1,x^2},x^2), b = ({x},1).
 
-    a = PSetElement(base, frozenset({xp(0), xp(2)}), xp(2))
-    b = PSetElement(base, frozenset({xp(1)}), xp(0))
-
-    def e(i: int) -> PSetElement:
-        return PSetElement(base, frozenset({xp(2 * i)}), xp(0))
-
-    return semidirect(base), a, b, e
-
-
-def instance_mm():
-    """M(F_{x,y}): a = (P_x, x), b = (P_y, y), e_i = (P_{y x^i}, 1)."""
-    ctx = get_structure("mm", ("x", "y"))
-    a, b = ctx.atom("x"), ctx.atom("y")
-
-    def e(i: int) -> MMElement:
-        w = (("y", 1),) + (("x", 1),) * i
-        return ctx.plus(expansions.mm_from_word(ctx.base, w))
-
-    return ctx, a, b, e
-
-
-def instance_fad():
-    """Pruned trees: a, b generators, e_i = (b a^i)+."""
-    ctx = get_structure("fad")
-    a, b = ctx.atom("a"), ctx.atom("b")
-
-    def e(i: int) -> XTree:
-        return ctx.plus(ctx.mul(b, ctx.power(a, i)))
-
-    return ctx, a, b, e
+    b of freemonoid omits 1 from its set, so no term over the generators
+    of a model reaches it, and it is built by hand."""
+    if name == "freemonoid":
+        base = psdp.FreeGroup(("x",))
+        x2 = (("x", 1),) * 2
+        a = PSetElement(base, frozenset({(), x2}), x2)
+        b = PSetElement(base, frozenset({(("x", 1),)}), ())
+        return semidirect(base), a, b
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example {name!r}")
+    model, a, b = _EXAMPLES[name]
+    ctx = get_structure(model, (a, b))
+    return ctx, ctx.atom(a), ctx.atom(b)

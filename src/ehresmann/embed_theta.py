@@ -16,23 +16,19 @@ product (c d) theta_1 = c theta_1 * (c theta_2 . d theta_1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, TypeAlias, Union
+from typing import Dict, List, Sequence, Tuple
 
 from . import words
 from .normalform import BXLetter, is_word_letter, merge
 from .words import GroupWord, Word, format_group_word
 from .xtree import XTree, tree_multiply
 
-# a string alias: an evaluated Union[Word, XTree] would stay in typing's
-# cache and keep every imported copy of the xtree module alive
-Part: TypeAlias = "Union[Word, XTree]"
-
 
 @dataclass(frozen=True)
 class CXWord:
     """Normalized alternating word/idempotent sequence; a free-product element."""
 
-    parts: Tuple[Part, ...]
+    parts: Tuple[BXLetter, ...]
 
     @staticmethod
     def make(letters: Sequence[BXLetter]) -> "CXWord":

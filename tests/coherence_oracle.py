@@ -1,5 +1,6 @@
-"""Oracles for ``ehresmann.coherence``: a bounded divisor search and the
-closed forms of the worked instances' star sets.
+"""Oracles for ``ehresmann.coherence``: a bounded divisor search, the
+closed forms of the worked examples' star sets, and their hand-written
+idempotent streams.
 
 ``divides(T, U, side, bound)`` looks for A with T A = U (right) or A T = U
 (left) among the left-Ehresmann trees of at most ``bound`` edges over the
@@ -8,7 +9,13 @@ labels of T and U (by default |T| + |U| edges).  A False result only means
 left divisor first.
 
 ``STAR_SETS[example](i)`` is the set component of ``(b a^i)*`` in
-``coherence.instance_<example>()``, for the examples fi and freemonoid.
+``coherence.example(example)``, for the examples fi and freemonoid.
+
+``E_STREAMS[example](ctx, i)`` is an idempotent e_i, written out by hand,
+with e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1} in the model ctx of
+``coherence.example(example)``.  For fi, mm and fad it is (b a^i)^+, the
+e_i that ``check_forbidden_config`` takes; for freemonoid it is ({x^{2i}}, 1),
+smaller than (b a^i)^+ = ({1, x, ..., x^{2i}}, 1).
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ehresmann import coherence as co
-from ehresmann import xtree
+from ehresmann import expansions, xtree
+from ehresmann.psdp import PSetElement
 from ehresmann.xtree import XTree, tree_multiply
 
 
@@ -54,3 +62,28 @@ def _star_set_freemonoid(i: int) -> frozenset:
 
 
 STAR_SETS = {"fi": _star_set_fi, "freemonoid": _star_set_freemonoid}
+
+
+def _e_fi(ctx, i: int) -> PSetElement:
+    """({1, h, hg, ..., hg^i}, 1)."""
+    h = (("h", 1),)
+    return PSetElement(ctx.base, frozenset({()} | {h + (("g", 1),) * k for k in range(i + 1)}), ())
+
+
+def _e_freemonoid(ctx, i: int) -> PSetElement:
+    """({x^{2i}}, 1)."""
+    return PSetElement(ctx.base, frozenset({_xp(2 * i)}), _xp(0))
+
+
+def _e_mm(ctx, i: int):
+    """(P_{y x^i}, 1)."""
+    return ctx.plus(expansions.mm_from_word(ctx.base, (("y", 1),) + (("x", 1),) * i))
+
+
+def _e_fad(ctx, i: int) -> XTree:
+    """(b a^i)+, with a^i made as one power."""
+    a, b = ctx.atom("a"), ctx.atom("b")
+    return ctx.plus(ctx.mul(b, ctx.power(a, i)))
+
+
+E_STREAMS = {"fi": _e_fi, "freemonoid": _e_freemonoid, "mm": _e_mm, "fad": _e_fad}

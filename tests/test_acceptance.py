@@ -135,7 +135,7 @@ def test_criterion_05_forbidden_configurations():
     ok = True
     for example, depth in (("freemonoid", 5), ("fi", 5)):
         ok &= CHECKS["forbidden-config"](example=example, depth=depth).verdict == "pass"
-        ctx, a, b, e = getattr(co, "instance_" + example)()
+        ctx, a, b = co.example(example)
         ba = b
         for i in range(depth + 1):
             ok &= ctx.star(ba).elems == STAR_SETS[example](i)

@@ -240,7 +240,8 @@ def test_check_rejects_unknown_options_and_those_of_other_checks(capsys, name):
     for p in [p for p in ALL_OPTIONS if p not in params(name)] + ["foo"]:
         code, out, err = usage_exit(capsys, "check", name, "--" + p, "1")
         assert code == 1 and out == "", p
-        assert f"error: unrecognized arguments: --{p} 1" in err
+        assert err.startswith(f"usage: ehres check {name} "), p
+        assert f"ehres check {name}: error: unrecognized arguments: --{p} 1" in err
 
 
 @pytest.mark.parametrize("argv", [

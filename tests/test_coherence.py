@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coherence_oracle import STAR_SETS, divides
+from coherence_oracle import E_STREAMS, STAR_SETS, divides
 from ehresmann import coherence as co
 from ehresmann import normalform as nf
 from ehresmann import psdp, xtree
@@ -25,31 +25,58 @@ B = letter_tree("b")
 
 # -- configuration certificates ---------------------------------------------
 
-def test_forbidden_config_instances_pass():
-    for build, depth in (
-        (co.instance_fi, 4),
-        (co.instance_freemonoid, 4),
-        (co.instance_fad, 4),
-    ):
-        ctx, a, b, e = build()
-        report = co.check_forbidden_config(a, b, e, depth, ctx)
-        assert report.verdict == "pass", report.to_json()
-    ctx, a, b, e = co.instance_mm()
-    assert co.check_forbidden_config(a, b, e, 3, ctx).verdict == "pass"
+def test_forbidden_config_examples_pass():
+    for name, depth in (("fi", 4), ("freemonoid", 4), ("fad", 4), ("mm", 3)):
+        ctx, a, b = co.example(name)
+        report = co.check_forbidden_config(a, b, depth, ctx)
+        assert report.verdict == "pass", (name, report.to_json())
 
 
 def test_forbidden_config_fails_on_degenerate_data():
     ctx = get_structure("fad")
     one = IDENTITY_TREE
-    report = co.check_forbidden_config(one, one, lambda i: one, 2, ctx)
+    report = co.check_forbidden_config(one, one, 2, ctx)
     assert report.verdict == "fail"
     conditions = {c for c, _ in report.failures}
     assert "incomparable" in conditions and "moves" in conditions
 
 
-def test_instance_star_sets_match_closed_forms():
+def test_hand_written_streams_against_plus():
+    for name, stream in E_STREAMS.items():
+        ctx, a, b = co.example(name)
+        ba = [b]
+        for i in range(1, 6):
+            ba.append(ctx.mul(ba[-1], a))
+            e = stream(ctx, i)
+            if name != "freemonoid":
+                assert e == ctx.plus(ba[i]), (name, i)
+            assert ctx.is_E_idempotent(e), (name, i)
+            assert ctx.mul(e, ba[i]) == ba[i], (name, i)
+            assert ctx.mul(e, ba[i - 1]) != ba[i - 1], (name, i)
+
+
+def test_plus_is_the_least_idempotent_that_can_move():
+    """In FAd: whenever an idempotent e fixes b a^i and moves b a^{i-1},
+    (b a^i)^+ moves b a^{i-1} too (a, b of at most 1 edge, e of at most 3)."""
+    small = xtree.enumerate_trees("ab", 1)
+    idempotents = [e for e in xtree.enumerate_trees("ab", 3) if xtree.is_idempotent(e)]
+    found = 0
+    for a, b in itertools.product(small, repeat=2):
+        ba = [b, tree_multiply(b, a)]
+        ba.append(tree_multiply(ba[1], a))
+        for i in (1, 2):
+            movers = [e for e in idempotents
+                      if tree_multiply(e, ba[i]) == ba[i]
+                      and tree_multiply(e, ba[i - 1]) != ba[i - 1]]
+            found += len(movers)
+            if movers:
+                assert tree_multiply(tree_plus(ba[i]), ba[i - 1]) != ba[i - 1], (a, b, i)
+    assert found
+
+
+def test_example_star_sets_match_closed_forms():
     for example, star_set in STAR_SETS.items():
-        ctx, a, b, e = getattr(co, "instance_" + example)()
+        ctx, a, b = co.example(example)
         ba = b
         for i in range(5):
             assert ctx.star(ba).elems == star_set(i), (example, i)
@@ -76,8 +103,8 @@ def test_bgr_config_survives_truncation():
 
 
 def test_ghe_conditions_hold_in_q3_but_not_q1():
-    assert co.check_ghe_quotient_conditions(1, 3, get_structure("qn:3")).verdict == "pass"
-    report = co.check_ghe_quotient_conditions(1, 2, get_structure("qn:1"))
+    assert co.check_ghe_quotient_conditions(3, get_structure("qn:3")).verdict == "pass"
+    report = co.check_ghe_quotient_conditions(2, get_structure("qn:1"))
     assert report.verdict == "fail"
 
 
