@@ -41,8 +41,8 @@ _TOKENS = re.compile(r"\s*(\^\+|\^\*|\^-1|\(|\)|[A-Za-z_][A-Za-z_0-9]*|1)")
 
 def tokenize(text: str) -> List[str]:
     out: List[str] = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())  # blanks around the term are ignored
+    while pos < end:
         m = _TOKENS.match(text, pos)
         if not m:
             raise ValueError(f"bad term syntax at {text[pos:]!r}")
@@ -59,9 +59,12 @@ def parse_term(text: str):
     Open parentheses are kept on an explicit stack, so nesting depth is
     bounded by memory, not by the interpreter's recursion limit."""
     postfix = {"^+": "plus", "^*": "star", "^-1": "inv"}
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValueError("empty term")
     # the factors read so far of each open term, outermost first
     terms: List[List[Any]] = [[]]
-    for t in tokenize(text):
+    for t in tokens:
         factors = terms[-1]
         if t == "(":
             terms.append([])
@@ -79,7 +82,7 @@ def parse_term(text: str):
         else:
             factors.append(("one",) if t == "1" else ("atom", t))
     if not terms[-1]:
-        raise ValueError("expected an atom, found None")
+        raise ValueError("expected an atom at the end of the term")
     if len(terms) > 1:
         raise ValueError("missing )")
     factors = terms[0]
@@ -120,7 +123,7 @@ def cx_from_term(text: str) -> et.CXWord:
         elif n[0] == "atom":
             letters.append((n[1],))
         elif n[0] == "plus":
-            letters.append(xtree.tree_plus(get_structure("flad").eval(n[1])))
+            letters.append(get_structure("flad").eval(n))  # one prune per group
         else:
             raise ValueError("C-words only support letters, products and ^+")
     return et.CXWord.make(letters)

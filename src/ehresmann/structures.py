@@ -7,7 +7,10 @@ evaluates and renders parsed terms.  Its element functions are
 ``<prefix>_multiply``, ``<prefix>_plus``, ``<prefix>_star`` and
 ``<prefix>_inverse`` of one module, and ``<prefix>_product`` where the
 module has one, looked up on the module at every call, so rebinding a
-module attribute (as a tracer does) reaches them.
+module attribute (as a tracer does) reaches them.  The tree models also
+name their module's reduction (``prune``): they evaluate a whole term as
+one raw tree, built with ``raw_product``, ``raw_plus`` and ``raw_star``,
+and reduce it once at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from . import expansions as ex
 from . import psdp, scheiblich as sch, xtree
 
 _SYMBOL = {"plus": "^+", "star": "^*", "inverse": "^-1"}
+_NODE_OP = {"plus": "plus", "star": "star", "inv": "inverse"}  # parsed node -> operation
 
 
 def _unchanged(a):
@@ -38,6 +42,9 @@ class Structure:
     idempotent: Optional[Callable[[Any], bool]] = None  # default: point is 1
     finish: Callable[[Any], Any] = _unchanged  # sub-monoid membership check
     sort_keys: bool = True  # of the JSON rendering
+    # the module's reduction of a raw value ("prune" for trees); when set,
+    # eval builds the term raw and reduces once (see eval)
+    reduce: Optional[str] = None
 
     def mul(self, a, b):
         return getattr(self.module, self.prefix + "_multiply")(a, b)
@@ -57,19 +64,19 @@ class Structure:
             acc = self.mul(acc, b)
         return acc
 
-    def _op(self, op: str, a):
+    def _op(self, op: str, a, prefix: str):
         if op not in self.unary:
             raise ValueError(f"{_SYMBOL[op]} is not defined in model {self.name}")
-        return getattr(self.module, f"{self.prefix}_{op}")(a)
+        return getattr(self.module, f"{prefix}_{op}")(a)
 
     def plus(self, a):
-        return self._op("plus", a)
+        return self._op("plus", a, self.prefix)
 
     def star(self, a):
-        return self._op("star", a)
+        return self._op("star", a, self.prefix)
 
     def inv(self, a):
-        return self._op("inverse", a)
+        return self._op("inverse", a, self.prefix)
 
     def power(self, a, n: int):
         if n < 0:
@@ -101,11 +108,31 @@ class Structure:
         operations replaces recursion, so nesting depth is bounded by memory.
 
         ("mul", f1, ..., fn) evaluates its n factors, then makes one
-        ``product`` of them: for trees, one glue of all n and one prune.
-        That equals the left fold (f1 f2) f3 ... because the product is
-        associative; for trees, because the pruned retract of the glued
-        tree is unique.  The fold is kept in the tests as the oracle."""
-        unary = {"plus": self.plus, "star": self.star, "inv": self.inv}
+        ``product`` of them.  That equals the left fold (f1 f2) f3 ...
+        because the product is associative.  The fold, which reduces at
+        every node, is kept in the tests as the oracle.
+
+        A model with ``reduce`` (the trees) makes no element until the end:
+        an atom is its letter tree, 1 the one-vertex tree, a product node
+        ``raw_product`` of its factors, and ``^+``/``^*`` re-point the raw
+        tree (``raw_plus``/``raw_star``).  The whole term is one raw tree,
+        pruned once.  That equals reducing at every node, by induction on
+        the term:
+
+        * ``prune(T)`` is a retraction of T that fixes the trunk, so it
+          fixes start and end.  It is therefore also a retraction of
+          ``raw_plus(T)`` and ``raw_star(T)``, and it extends by the
+          identity over the factors glued beside T in a product.
+        * So the tree built from pruned subterms is a retract of the tree
+          built from raw ones, and a tree and its retracts have one pruned
+          retract, unique up to isomorphism (``xtree.tree_product`` makes
+          the same argument for one product node).
+
+        Errors are raised where the reducing evaluation raises them: an
+        operation the model lacks fails when it is reached, on its
+        evaluated operand."""
+        raw = self.reduce is not None
+        prefix = "raw" if raw else self.prefix
         values: List[Any] = []
         work: List[Any] = [node]
         while work:
@@ -113,9 +140,10 @@ class Structure:
             if isinstance(item, int):  # the product of the values last pushed
                 factors = values[-item:]
                 del values[-item:]
-                values.append(self.product(factors))
+                values.append(self.module.raw_product(*factors) if raw
+                              else self.product(factors))
             elif isinstance(item, str):  # a unary operation on the value last pushed
-                values.append(unary[item](values.pop()))
+                values.append(self._op(item, values.pop(), prefix))
             elif item[0] == "one":
                 values.append(self.one)
             elif item[0] == "atom":
@@ -124,8 +152,8 @@ class Structure:
                 work.append(len(item) - 1)
                 work.extend(reversed(item[1:]))
             else:
-                work += [item[0], item[1]]
-        return values.pop()
+                work += [_NODE_OP[item[0]], item[1]]
+        return getattr(self.module, self.reduce)(values.pop()) if raw else values.pop()
 
 
 def semidirect(base: psdp.BaseMonoid, name: str = "sdp", atom=None) -> Structure:
@@ -156,7 +184,7 @@ def get_structure(name: str, alphabet=()) -> Structure:
     if name in ("fad", "flad"):
         unary = ("plus", "star") if name == "fad" else ("plus",)
         return Structure(name, xtree.IDENTITY_TREE, xtree.letter_tree, xtree, "tree",
-                         unary, idempotent=xtree.is_idempotent)
+                         unary, idempotent=xtree.is_idempotent, reduce="prune")
     if name in ("fi", "fa", "fla"):
         # fa/fla terms evaluate in the free inverse monoid; membership in the
         # sub-monoid is checked on the final result only
@@ -171,7 +199,10 @@ def get_structure(name: str, alphabet=()) -> Structure:
                "e": psdp.PSetElement(Z, frozenset({0}), 0)}
         if name == "sdp:Z":
             return semidirect(Z, name, _lookup(name, ghe))
-        n = int(name.split(":", 1)[1])
+        digits = name[3:]
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+            raise ValueError(f"model qn:<n> needs a decimal n >= 1, got {name!r}")
+        n = int(digits)
         name = f"qn:{n}"
         ghe = {k: ex.qn_from_sdp(v, n) for k, v in ghe.items()}
         return Structure(name, ex.qn_identity(Z, n), _lookup(name, ghe), ex, "qn",

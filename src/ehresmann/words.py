@@ -20,11 +20,10 @@ GEMPTY: GroupWord = ()
 
 def gmul(g: GroupWord, h: GroupWord) -> GroupWord:
     """Product of reduced group words (cancels at the seam)."""
-    g2, h2 = list(g), list(h)
-    while g2 and h2 and g2[-1][0] == h2[0][0] and g2[-1][1] == -h2[0][1]:
-        g2.pop()
-        h2.pop(0)
-    return tuple(g2) + tuple(h2)
+    k, most = 0, min(len(g), len(h))  # k: letters cancelled on each side
+    while k < most and g[-1 - k][0] == h[k][0] and g[-1 - k][1] == -h[k][1]:
+        k += 1
+    return g[:len(g) - k] + h[k:]
 
 
 def ginv(g: GroupWord) -> GroupWord:
@@ -39,14 +38,12 @@ def is_positive(g: GroupWord) -> bool:
     return all(sign == 1 for _, sign in g)
 
 
-def prefixes(g: GroupWord) -> Tuple[GroupWord, ...]:
-    """All prefixes of a reduced word, shortest first, including () and g."""
-    return tuple(g[:i] for i in range(len(g) + 1))
-
-
 def is_prefix_closed(aset: Iterable[GroupWord]) -> bool:
+    """Every prefix of every word is in the set.  It is enough that each
+    non-empty word drops its last letter into the set: by induction on
+    length, every shorter prefix is then in the set too."""
     s = set(aset)
-    return all(p in s for g in s for p in prefixes(g))
+    return all(g[:-1] in s for g in s if g)
 
 
 def is_suffix(suffix: Word, w: Word) -> bool:

@@ -19,9 +19,11 @@ Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
 ``T+`` re-points end := start; ``T*`` re-points start := end.  A product
 of n factors glues all of them and prunes once (``tree_product``): the
 pruned retract of a tree is unique, so this equals any bracketing of
-two-factor products.  Pruned trees in which every vertex is reachable
-from the start by a directed path are the left-Ehresmann trees, closed
-under product and ``+``.
+two-factor products.  The same holds for a whole term: it is glued and
+re-pointed raw (``raw_product``, ``raw_plus``, ``raw_star``) and pruned
+once, which ``structures.Structure.eval`` does and argues.  Pruned trees
+in which every vertex is reachable from the start by a directed path are
+the left-Ehresmann trees, closed under product and ``+``.
 
 Equality of pruned trees is isomorphism of bi-pointed labeled trees; both
 tree classes canonicalize vertex numbering from an AHU-style encoding
@@ -356,10 +358,12 @@ def raw_product(*factors: RawTree) -> RawTree:
 
 
 def raw_plus(t: RawTree) -> RawTree:
+    """T re-pointed end := start; no pruning (``prune`` of it is ``T+``)."""
     return RawTree(t.nv, t.edges, t.start, t.start)
 
 
 def raw_star(t: RawTree) -> RawTree:
+    """T re-pointed start := end; no pruning (``prune`` of it is ``T*``)."""
     return RawTree(t.nv, t.edges, t.end, t.end)
 
 

@@ -2,9 +2,11 @@
 
 ``fold_eval`` makes the product of ("mul", f1, ..., fn) two factors at a
 time through ``Structure.mul``, in the order f1 f2, then (f1 f2) f3, and so
-on; for trees that is one prune per factor.  ``Structure.eval`` makes the
-same product in one ``Structure.product`` call and must agree with it on
-every term in every model, including the errors it raises.
+on, and applies each unary node through ``Structure.plus``/``star``/``inv``;
+for trees that is one prune per factor and per unary node.
+``Structure.eval`` makes each product in one ``Structure.product`` call,
+and for trees builds the whole term raw and prunes it once.  It must agree
+with the fold on every term in every model, including the errors it raises.
 """
 
 from __future__ import annotations

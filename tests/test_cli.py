@@ -72,6 +72,29 @@ def test_eval_sdp_and_qn():
         cli.eval_term("x", "sdp:Z")
 
 
+@pytest.mark.parametrize("model", ["qn:abc", "qn:-1", "qn:0", "qn:3_0", "qn: 3", "qn:3 ", "qn:"])
+def test_qn_takes_only_a_decimal_n_of_at_least_1(capsys, model):
+    for argv in (("eval", "g", "--model", model), ("check", "ghe", "--model", model),
+                 ("check", "bgr", "--model", model)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: model qn:<n> needs a decimal n >= 1, got {model!r}\n"
+
+
+def test_qn_reads_n_in_decimal():
+    assert cli.eval_term("g", "qn:03")[0].name == "qn:3"
+    assert cli.eval_term("g", "qn:12")[0].name == "qn:12"
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\t\n"])
+def test_an_empty_term_is_named(capsys, text):
+    assert run(capsys, "eval", text) == (1, "", "error: empty term\n")
+
+
+def test_blanks_around_a_term_are_ignored():
+    assert cli.parse_term("  a b^+\n") == cli.parse_term("a b^+")
+
+
 def test_eval_command_output(capsys):
     code, out, _ = run(capsys, "eval", "x y^-1", "--model", "fi", "--format", "json")
     assert code == 0

@@ -74,8 +74,11 @@ def test_eval_matches_the_left_fold(name):
     letters = LETTERS.get(name, "xy")
     unary = ["inv" if op == "inverse" else op for op in s.unary]  # node names
     rng = random.Random(f"eval-{name}")
-    for _ in range(40):
-        node = random_node(rng, letters, unary)
+    # the tree models build a term raw and prune once: deeper terms nest
+    # ^+ and ^* groups inside products and each other
+    count, depth = (300, 5) if name in ("fad", "flad") else (40, 3)
+    for _ in range(count):
+        node = random_node(rng, letters, unary, depth)
         assert s.eval(node) == eval_oracle.fold_eval(s, node), (name, node)
 
 
@@ -87,14 +90,36 @@ def test_eval_and_the_fold_refuse_star_in_flad():
             evaluate(node)
 
 
-def test_a_word_of_128_letters_is_pruned_once(monkeypatch):
-    word = tuple("ab"[i % 3 == 0] for i in range(128))
+def counted_prunes(monkeypatch):
+    """The trees `xtree.prune` is called on from now on."""
     calls = []
     prune = xtree.prune
     monkeypatch.setattr(xtree, "prune", lambda t: calls.append(t) or prune(t))
+    return calls
+
+
+def test_a_word_of_128_letters_is_pruned_once(monkeypatch):
+    word = tuple("ab"[i % 3 == 0] for i in range(128))
+    calls = counted_prunes(monkeypatch)
     _, t = cli.eval_term(" ".join(word), "fad")
     assert len(calls) == 1
     assert t == xtree.word_tree(word)
     fad = get_structure("fad")
     assert fad.power(fad.atom("a"), 128) == xtree.word_tree(("a",) * 128)
     assert len(calls) == 2
+    # nested ^+ and ^* groups are re-pointed raw trees, pruned with the term
+    term = "(a (b a^*)^+)^* b^+ a"
+    _, t = cli.eval_term(term, "fad")
+    assert len(calls) == 3
+    assert t == eval_oracle.fold_eval(fad, cli.parse_term(term))
+
+
+def test_a_c_word_prunes_once_per_plus_group(monkeypatch):
+    calls = counted_prunes(monkeypatch)
+    # letters between the groups, so that no two idempotents are merged
+    c = cli.cx_from_term("a (b a^+ b)^+ b (a b)^+ a (a^+)^+")
+    assert len(calls) == 3
+    flad = get_structure("flad")
+    groups = ["b a^+ b", "a b", "a^+"]
+    want = [eval_oracle.fold_eval(flad, cli.parse_term(f"({g})^+")) for g in groups]
+    assert [x for x in c.parts if not isinstance(x, tuple)] == want

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from ehresmann import words
-from words_oracle import reduce_group_word
+from words_oracle import prefix_closed, prefixes, reduce_group_word
 
 letters = st.sampled_from("abc")
 group_words = st.lists(
@@ -51,10 +51,22 @@ def test_positive_word_roundtrip(w):
 
 def test_prefix_closure():
     g = (("a", 1), ("b", -1))
-    cl = set(words.prefixes(g))
+    cl = set(prefixes(g))
     assert cl == {(), (("a", 1),), g}
     assert words.is_prefix_closed(cl)
     assert not words.is_prefix_closed({g})
+    assert words.is_prefix_closed(set())
+
+
+@given(st.lists(group_words, max_size=6), st.frozensets(st.integers(0, 30), max_size=3))
+def test_is_prefix_closed_matches_the_oracle(ws, dropped):
+    """On random sets of reduced words, closed and not: the prefix closure
+    of some words, less the words at the `dropped` positions of its sorted
+    list (dropping a word no other word extends keeps it closed)."""
+    closure = sorted({p for w in ws for p in prefixes(reduce_group_word(w))})
+    aset = {w for i, w in enumerate(closure) if i not in dropped}
+    assert words.is_prefix_closed(aset) == prefix_closed(aset)
+    assert words.is_prefix_closed(closure)
 
 
 def test_is_suffix():
