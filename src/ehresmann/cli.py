@@ -252,25 +252,19 @@ def _theta_morphism(gamma=None, delta=None, bound=None):
     if gamma is not None or delta is not None:
         if bound is not None:
             raise ValueError("--bound cannot be combined with --gamma/--delta")
-        c = cx_from_term(gamma or "1")
-        d = cx_from_term(delta or "1")
-        ok = et.theta_morphism_check(c, d)
-        failures = [] if ok else [("theta", {"gamma": repr(c), "delta": repr(d)})]
-        return co._finish(0, failures)
-    bound = 2 if bound is None else _size("bound", bound)
-    letters: List[Any] = [("a",), ("b",)]
-    letters += [xtree.tree_plus(xtree.letter_tree(x)) for x in "ab"]
-    cxs = [
-        et.CXWord.make(list(seq))
-        for k in range(bound + 1)
-        for seq in itertools.product(letters, repeat=k)
-    ]
-    cxs = list(dict.fromkeys(cxs))
-    failures = []
-    for c in cxs:
-        for d in cxs:
-            if not et.theta_morphism_check(c, d):
-                failures.append(("theta", {"gamma": repr(c), "delta": repr(d)}))
+        cs, ds = [cx_from_term(gamma or "1")], [cx_from_term(delta or "1")]
+        bound = 0  # the depth the report gives
+    else:
+        bound = 2 if bound is None else _size("bound", bound)
+        letters: List[Any] = [("a",), ("b",)]
+        letters += [xtree.tree_plus(xtree.letter_tree(x)) for x in "ab"]
+        cs = ds = list(dict.fromkeys(
+            et.CXWord.make(list(seq))
+            for k in range(bound + 1)
+            for seq in itertools.product(letters, repeat=k)
+        ))
+    failures = [("theta", {"gamma": repr(c), "delta": repr(d)})
+                for c, d in et.theta_morphism_check(cs, ds)]
     return co._finish(bound, failures)
 
 

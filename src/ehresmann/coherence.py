@@ -106,14 +106,18 @@ def check_forbidden_config(a, b, N: int, ctx: Structure) -> ConfigReport:
     monoid x^+ is the least idempotent of E that fixes x on the left.  So if
     some e in E fixes b a^i, then e (b a^i)^+ = (b a^i)^+, and were b a^{i-1}
     fixed by (b a^i)^+, then e b a^{i-1} = e (b a^i)^+ b a^{i-1} = b a^{i-1}:
-    e would fix it too.  `idempotent` and `fixes` thus test the model's +."""
+    e would fix it too.  `idempotent` and `fixes` thus test the model's +.
+
+    x <=_L~ y iff x y* = x.  Each (b a^j)* is computed once, before the
+    (i, j) loop compares b a^i with it: N + 1 stars, not (N + 1) N."""
     failures: List[Tuple[str, Any]] = []
     ba = [b]
     for _ in range(N):
         ba.append(ctx.mul(ba[-1], a))
+    stars = [ctx.star(x) for x in ba]
     for i in range(N + 1):
         for j in range(N + 1):
-            if i != j and ctx.leq_Ltilde(ba[i], ba[j]):
+            if i != j and ctx.mul(ba[i], stars[j]) == ba[i]:
                 failures.append(("incomparable", {"i": i, "j": j}))
     for i in range(1, N + 1):
         e = ctx.plus(ba[i])
@@ -127,12 +131,19 @@ def check_forbidden_config(a, b, N: int, ctx: Structure) -> ConfigReport:
 
 
 def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
-    """The (g, h, e) conditions (0)-(4ii) with exponents bounded by N."""
+    """The (g, h, e) conditions (0)-(4ii) with exponents bounded by N.
+
+    The triple products g^k e h^k and h^k e g^k, and e g^k e h^k (e times
+    the first, by associativity), are computed once for each exponent k,
+    before the loops that compare them."""
     failures: List[Tuple[str, Any]] = []
     mul, prod = ctx.mul, ctx.product
 
     gp = [ctx.power(g, i) for i in range(N + 1)]
     hp = [ctx.power(h, i) for i in range(N + 1)]
+    geh = [prod((gp[k], e, hp[k])) for k in range(N + 1)]
+    heg = [prod((hp[k], e, gp[k])) for k in range(N + 1)]
+    egeh = [mul(e, x) for x in geh]
 
     if prod((e, e)) != e:
         failures.append(("0-e2", {}))
@@ -143,34 +154,29 @@ def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
     if prod((h, g, e)) != e or prod((e, h, g)) != e:
         failures.append(("1-hge", {}))
     for n in range(1, N + 1):
-        if prod((e, gp[n], e, hp[n])) != prod((gp[n], e, hp[n], e)):
+        if egeh[n] != mul(geh[n], e):
             failures.append(("2-g", {"n": n}))
-        if prod((e, hp[n], e, gp[n])) != prod((hp[n], e, gp[n], e)):
+        if mul(e, heg[n]) != mul(heg[n], e):
             failures.append(("2-h", {"n": n}))
     for m in range(1, N + 1):
         for n in range(1, N + 1):
-            lhs = prod((gp[m], e, hp[m]))
-            rhs = prod((hp[n], e, gp[n]))
-            mid = mul(lhs, rhs)
-            if lhs == mid or rhs == mid:
+            mid = mul(geh[m], heg[n])
+            if geh[m] == mid or heg[n] == mid:
                 failures.append(("3i", {"m": m, "n": n}))
     for m in range(0, N + 1):
         for n in range(0, N + 1):
             if m == n:
                 continue
-            x1 = prod((gp[m], e, hp[m]))
-            if x1 == mul(x1, prod((gp[n], e, hp[n]))):
+            if geh[m] == mul(geh[m], geh[n]):
                 failures.append(("3ii-g", {"m": m, "n": n}))
-            x2 = prod((hp[m], e, gp[m]))
-            if x2 == mul(x2, prod((hp[n], e, gp[n]))):
+            if heg[m] == mul(heg[m], heg[n]):
                 failures.append(("3ii-h", {"m": m, "n": n}))
     for n in range(1, N + 1):
-        base_el = prod((e, gp[n], e, hp[n]))
         for k in range(1, n):
-            if base_el == mul(base_el, prod((gp[k], e, hp[k]))):
+            if egeh[n] == mul(egeh[n], geh[k]):
                 failures.append(("4i", {"n": n, "k": k}))
         for k in range(1, n + 1):
-            if base_el == mul(base_el, prod((hp[k], e, gp[k]))):
+            if egeh[n] == mul(egeh[n], heg[k]):
                 failures.append(("4ii", {"n": n, "k": k}))
     return _finish(N, failures)
 
@@ -202,11 +208,12 @@ def check_ghe_quotient_conditions(N: int, ctx: Structure) -> ConfigReport:
             if el([-m, -n]) == el([-m]):
                 failures.append(("3-", {"m": m, "n": n}))
     for n in range(1, N + 1):
+        zero_n = el([0, n])
         for k in range(1, n):
-            if el([0, n]) == el([k]) or el([0, n]) == el([0, k, n]):
+            if zero_n == el([k]) or zero_n == el([0, k, n]):
                 failures.append(("4", {"k": k, "n": n}))
         for k in range(1, n + 1):
-            if el([0, n]) == el([-k]) or el([0, n]) == el([-k, 0, n]):
+            if zero_n == el([-k]) or zero_n == el([-k, 0, n]):
                 failures.append(("5", {"k": k, "n": n}))
     return _finish(N, failures)
 

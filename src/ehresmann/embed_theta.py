@@ -124,11 +124,23 @@ def theta(c: CXWord) -> ThetaImage:
     return ThetaImage(zx_multiply(acc, ZXElement.make(set(), es)), t)
 
 
-def theta_morphism_check(c: CXWord, d: CXWord) -> bool:
-    """(c d) theta = c theta * (c's trunk acting on d theta)."""
-    lhs = theta(cx_multiply(c, d))
-    tc = theta(c)
-    td = theta(d)
-    g = words.word_to_group(tc.trunk)
-    rhs_zx = zx_multiply(tc.zx, zx_translate(g, td.zx))
-    return lhs.zx == rhs_zx and lhs.trunk == tc.trunk + td.trunk
+def theta_morphism_check(
+    cs: Sequence[CXWord], ds: Sequence[CXWord]
+) -> List[Tuple[CXWord, CXWord]]:
+    """The pairs (c, d) of cs x ds, in that order, that break the law
+    (c d) theta = c theta * (c's trunk acting on d theta).
+
+    theta is computed once for each distinct C-word of cs and ds, and once
+    for each product c d."""
+    images = {c: theta(c) for c in dict.fromkeys((*cs, *ds))}
+    failures: List[Tuple[CXWord, CXWord]] = []
+    for c in cs:
+        tc = images[c]
+        g = words.word_to_group(tc.trunk)
+        for d in ds:
+            td = images[d]
+            lhs = theta(cx_multiply(c, d))
+            rhs_zx = zx_multiply(tc.zx, zx_translate(g, td.zx))
+            if not (lhs.zx == rhs_zx and lhs.trunk == tc.trunk + td.trunk):
+                failures.append((c, d))
+    return failures

@@ -104,10 +104,15 @@ def mm_to_munn(p: MMElement) -> MunnElement:
 
 
 def munn_to_mm(base: BaseMonoid, p: MunnElement) -> MMElement:
-    """Rebuild the (unique) connected Cayley subgraph on a prefix-closed set."""
-    names = {n for g in p.aset for n, _ in g} | set(getattr(base, "alphabet", ()))
+    """Rebuild the (unique) connected Cayley subgraph on a prefix-closed set.
+
+    The Cayley graph of a free group is a tree: each non-empty reduced word
+    g is joined to its parent g[:-1] by one edge, that of its last letter
+    (x, s), which is (g[:-1], x) if s = +1 and (g, x) if s = -1 (then
+    g x = g[:-1]).  The set is prefix-closed, so it holds every parent, and
+    these are all the edges between its words; no product is computed."""
     edges = frozenset(
-        (h, name) for h in p.aset for name in names if words.gmul(h, ((name, 1),)) in p.aset
+        (g[:-1], g[-1][0]) if g[-1][1] == 1 else (g, g[-1][0]) for g in p.aset if g
     )
     return MMElement(CayleySubgraph(base, p.aset, edges), p.point)
 

@@ -2,15 +2,15 @@
 
 A ``Structure`` gives a model (see ``ehres --help`` for the list) its
 identity, generators, product, the unary operations ``+``, ``*`` and
-inverse, powers, the L~-preorder and an O(1) idempotent test, and
-evaluates and renders parsed terms.  Its element functions are
-``<prefix>_multiply``, ``<prefix>_plus``, ``<prefix>_star`` and
-``<prefix>_inverse`` of one module, and ``<prefix>_product`` where the
-module has one, looked up on the module at every call, so rebinding a
-module attribute (as a tracer does) reaches them.  The tree models also
-name their module's reduction (``prune``): they evaluate a whole term as
-one raw tree, built with ``raw_product``, ``raw_plus`` and ``raw_star``,
-and reduce it once at the end.
+inverse, powers and an O(1) idempotent test, and evaluates and renders
+parsed terms.  Its element functions are ``<prefix>_multiply``,
+``<prefix>_plus``, ``<prefix>_star`` and ``<prefix>_inverse`` of one
+module, and ``<prefix>_product`` where the module has one, looked up on
+the module at every call, so rebinding a module attribute (as a tracer
+does) reaches them.  The tree models also name their module's reduction
+(``prune``): they evaluate a whole term as one raw tree, built with
+``raw_product``, ``raw_plus`` and ``raw_star``, and reduce it once at the
+end.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class Structure:
         if self.idempotent is not None:
             return self.idempotent(a)
         return a.point == self.one.point
-
-    def leq_Ltilde(self, a, b) -> bool:
-        return self.mul(a, self.star(b)) == a
 
     def describe(self, a) -> Any:
         return a.to_json() if hasattr(a, "to_json") else repr(a)

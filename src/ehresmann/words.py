@@ -19,8 +19,15 @@ GEMPTY: GroupWord = ()
 
 
 def gmul(g: GroupWord, h: GroupWord) -> GroupWord:
-    """Product of reduced group words (cancels at the seam)."""
-    k, most = 0, min(len(g), len(h))  # k: letters cancelled on each side
+    """Product of reduced group words (cancels at the seam).
+
+    Nothing cancels when a side is empty, or when the last letter of g and
+    the first of h differ in name or agree in sign: then the product is
+    g + h, returned without a loop.  Otherwise the cancelled letters are
+    counted from the seam outwards."""
+    if not g or not h or g[-1][0] != h[0][0] or g[-1][1] == h[0][1]:
+        return g + h
+    k, most = 1, min(len(g), len(h))  # k: letters cancelled on each side
     while k < most and g[-1 - k][0] == h[k][0] and g[-1 - k][1] == -h[k][1]:
         k += 1
     return g[:len(g) - k] + h[k:]

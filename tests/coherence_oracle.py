@@ -16,11 +16,16 @@ with e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1} in the model ctx of
 ``coherence.example(example)``.  For fi, mm and fad it is (b a^i)^+, the
 e_i that ``check_forbidden_config`` takes; for freemonoid it is ({x^{2i}}, 1),
 smaller than (b a^i)^+ = ({1, x, ..., x^{2i}}, 1).
+
+``check_forbidden_config`` and ``check_bgr_config`` are the certificates
+as they were before their elements were hoisted out of the comparison
+loops: each (b a^j)* and each triple product is recomputed where it is
+compared.  Their reports must equal ``coherence``'s.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, List, Optional, Tuple
 
 from ehresmann import coherence as co
 from ehresmann import expansions, xtree
@@ -87,3 +92,72 @@ def _e_fad(ctx, i: int) -> XTree:
 
 
 E_STREAMS = {"fi": _e_fi, "freemonoid": _e_freemonoid, "mm": _e_mm, "fad": _e_fad}
+
+
+def check_forbidden_config(a, b, N: int, ctx) -> co.ConfigReport:
+    failures: List[Tuple[str, Any]] = []
+    ba = [b]
+    for _ in range(N):
+        ba.append(ctx.mul(ba[-1], a))
+    for i in range(N + 1):
+        for j in range(N + 1):
+            # ba[i] <=_L~ ba[j]
+            if i != j and ctx.mul(ba[i], ctx.star(ba[j])) == ba[i]:
+                failures.append(("incomparable", {"i": i, "j": j}))
+    for i in range(1, N + 1):
+        e = ctx.plus(ba[i])
+        if not ctx.is_E_idempotent(e):
+            failures.append(("idempotent", {"i": i}))
+        if ctx.mul(e, ba[i]) != ba[i]:
+            failures.append(("fixes", {"i": i}))
+        if ctx.mul(e, ba[i - 1]) == ba[i - 1]:
+            failures.append(("moves", {"i": i}))
+    return co._finish(N, failures)
+
+
+def check_bgr_config(g, h, e, N: int, ctx) -> co.ConfigReport:
+    failures: List[Tuple[str, Any]] = []
+    mul, prod = ctx.mul, ctx.product
+
+    gp = [ctx.power(g, i) for i in range(N + 1)]
+    hp = [ctx.power(h, i) for i in range(N + 1)]
+
+    if prod((e, e)) != e:
+        failures.append(("0-e2", {}))
+    if prod((g, h)) != prod((h, g)):
+        failures.append(("0-gh", {}))
+    if prod((g, h, g)) != g or prod((h, g, h)) != h:
+        failures.append(("0-ghg", {}))
+    if prod((h, g, e)) != e or prod((e, h, g)) != e:
+        failures.append(("1-hge", {}))
+    for n in range(1, N + 1):
+        if prod((e, gp[n], e, hp[n])) != prod((gp[n], e, hp[n], e)):
+            failures.append(("2-g", {"n": n}))
+        if prod((e, hp[n], e, gp[n])) != prod((hp[n], e, gp[n], e)):
+            failures.append(("2-h", {"n": n}))
+    for m in range(1, N + 1):
+        for n in range(1, N + 1):
+            lhs = prod((gp[m], e, hp[m]))
+            rhs = prod((hp[n], e, gp[n]))
+            mid = mul(lhs, rhs)
+            if lhs == mid or rhs == mid:
+                failures.append(("3i", {"m": m, "n": n}))
+    for m in range(0, N + 1):
+        for n in range(0, N + 1):
+            if m == n:
+                continue
+            x1 = prod((gp[m], e, hp[m]))
+            if x1 == mul(x1, prod((gp[n], e, hp[n]))):
+                failures.append(("3ii-g", {"m": m, "n": n}))
+            x2 = prod((hp[m], e, gp[m]))
+            if x2 == mul(x2, prod((hp[n], e, gp[n]))):
+                failures.append(("3ii-h", {"m": m, "n": n}))
+    for n in range(1, N + 1):
+        base_el = prod((e, gp[n], e, hp[n]))
+        for k in range(1, n):
+            if base_el == mul(base_el, prod((gp[k], e, hp[k]))):
+                failures.append(("4i", {"n": n, "k": k}))
+        for k in range(1, n + 1):
+            if base_el == mul(base_el, prod((hp[k], e, gp[k]))):
+                failures.append(("4ii", {"n": n, "k": k}))
+    return co._finish(N, failures)

@@ -5,11 +5,18 @@ that contains the vertex 1 and is connected.  ``validate`` checks both
 conditions by a search from 1; ``expansions.mm_multiply`` and
 ``expansions.munn_to_mm`` build their graphs without checking, so the tests
 validate what they return.
+
+``munn_to_mm`` rebuilds the graph on a prefix-closed set by testing, for
+every word h of the set and every letter x of the set or of the base
+alphabet, whether h x is in the set.  ``expansions.munn_to_mm`` reads one
+edge off the last letter of each word and must agree with it.
 """
 
 from __future__ import annotations
 
-from ehresmann.expansions import CayleySubgraph, _step
+from ehresmann import words
+from ehresmann.expansions import CayleySubgraph, MMElement, _step
+from ehresmann.scheiblich import MunnElement
 
 
 def validate(graph: CayleySubgraph) -> None:
@@ -34,3 +41,11 @@ def validate(graph: CayleySubgraph) -> None:
                 stack.append(w)
     if seen != set(graph.vertices):
         raise ValueError("subgraph is not connected to 1")
+
+
+def munn_to_mm(base, p: MunnElement) -> MMElement:
+    names = {n for g in p.aset for n, _ in g} | set(getattr(base, "alphabet", ()))
+    edges = frozenset(
+        (h, name) for h in p.aset for name in names if words.gmul(h, ((name, 1),)) in p.aset
+    )
+    return MMElement(CayleySubgraph(base, p.aset, edges), p.point)

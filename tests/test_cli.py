@@ -179,6 +179,16 @@ def test_check_theta_morphism(capsys):
                "--gamma", "a b^+", "--delta", "b a^+ a")[0] == 0
 
 
+def test_theta_grid_computes_theta_once_per_c_word(capsys, monkeypatch):
+    """--bound 2 has 18 distinct C-words: one theta for each, and one for
+    each of the 18^2 products."""
+    calls = []
+    theta = cli.et.theta
+    monkeypatch.setattr(cli.et, "theta", lambda c: calls.append(c) or theta(c))
+    assert run(capsys, "check", "theta-morphism", "--bound", "2")[0] == 0
+    assert len(calls) == 18 + 18 ** 2
+
+
 # -- depth and bound ----------------------------------------------------------
 
 def test_zero_depth_and_bound_are_kept(capsys):

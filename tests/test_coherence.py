@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import coherence_oracle
 from coherence_oracle import E_STREAMS, STAR_SETS, divides
 from ehresmann import coherence as co
 from ehresmann import normalform as nf
@@ -39,6 +40,35 @@ def test_forbidden_config_fails_on_degenerate_data():
     assert report.verdict == "fail"
     conditions = {c for c, _ in report.failures}
     assert "incomparable" in conditions and "moves" in conditions
+
+
+@pytest.mark.parametrize("name", ["fi", "freemonoid", "mm", "fad"])
+def test_forbidden_config_matches_the_recomputing_oracle(name):
+    ctx, a, b = co.example(name)
+    for N in range(9):
+        want = coherence_oracle.check_forbidden_config(a, b, N, ctx).to_json()
+        assert co.check_forbidden_config(a, b, N, ctx).to_json() == want, N
+
+
+def test_failing_forbidden_config_matches_the_recomputing_oracle():
+    # the report of `forbidden-config --a 1 --b 1`
+    ctx = get_structure("fad")
+    one = IDENTITY_TREE
+    for N in range(9):
+        want = coherence_oracle.check_forbidden_config(one, one, N, ctx).to_json()
+        assert want["verdict"] == ("fail" if N else "pass")
+        assert co.check_forbidden_config(one, one, N, ctx).to_json() == want, N
+
+
+@pytest.mark.parametrize("name", ["fi", "freemonoid", "mm", "fad"])
+def test_forbidden_config_computes_each_star_once(name):
+    for N in (0, 1, 4):
+        ctx, a, b = co.example(name)
+        calls = []
+        star = ctx.star
+        ctx.star = lambda x: calls.append(x) or star(x)
+        co.check_forbidden_config(a, b, N, ctx)
+        assert len(calls) == N + 1, (name, N)
 
 
 def test_hand_written_streams_against_plus():
@@ -100,6 +130,16 @@ def test_bgr_config_survives_truncation():
     h = ctx.one.__class__(ctx.base, 3, frozenset(), -1)
     e = ctx.one.__class__(ctx.base, 3, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
+
+
+@pytest.mark.parametrize("model", ["sdp:Z", "qn:3", "qn:1"])
+def test_bgr_config_matches_the_recomputing_oracle(model):
+    ctx = get_structure(model)
+    g, h, e = (ctx.atom(x) for x in "ghe")
+    for N in range(9):
+        want = coherence_oracle.check_bgr_config(g, h, e, N, ctx).to_json()
+        assert co.check_bgr_config(g, h, e, N, ctx).to_json() == want, N
+    assert want["verdict"] == ("fail" if model == "qn:1" else "pass")
 
 
 def test_ghe_conditions_hold_in_q3_but_not_q1():

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from ehresmann import embed_theta as et
 from ehresmann import words, xtree
 from ehresmann.xtree import letter_tree, tree_multiply, tree_plus
@@ -74,23 +76,47 @@ def test_y_and_e_generators_differ():
     assert ya.zx != ea.zx
 
 
+def short_cxs():
+    """The distinct C-words of at most two letters of LETTERS."""
+    return list(dict.fromkeys(
+        et.CXWord.make(list(seq))
+        for k in range(3)
+        for seq in itertools.product(LETTERS, repeat=k)
+    ))
+
+
+def law_holds(c, d):
+    """The morphism law for one pair, every theta computed afresh."""
+    lhs = et.theta(et.cx_multiply(c, d))
+    tc, td = et.theta(c), et.theta(d)
+    g = words.word_to_group(tc.trunk)
+    rhs = et.zx_multiply(tc.zx, et.zx_translate(g, td.zx))
+    return lhs.zx == rhs and lhs.trunk == tc.trunk + td.trunk
+
+
 def test_theta_morphism_law_random():
     rng = random.Random(6)
     for _ in range(500):
         c, d = random_cx(rng), random_cx(rng)
-        assert et.theta_morphism_check(c, d), (c, d)
+        assert et.theta_morphism_check([c], [d]) == [], (c, d)
 
 
 def test_theta_morphism_law_exhaustive_short():
-    cxs = [
-        et.CXWord.make(list(seq))
-        for k in range(3)
-        for seq in itertools.product(LETTERS, repeat=k)
-    ]
-    cxs = list(dict.fromkeys(cxs))
-    for c in cxs:
-        for d in cxs:
-            assert et.theta_morphism_check(c, d)
+    cxs = short_cxs()
+    assert et.theta_morphism_check(cxs, cxs) == []
+
+
+@pytest.mark.parametrize("translate", ["action", "ignored"])
+def test_theta_grid_fails_the_pairs_that_break_the_law(translate, monkeypatch):
+    """The grid's failing pairs, in order, are the pairs for which the law
+    fails when every theta is recomputed; with the action replaced by the
+    identity the law breaks, so the lists are not both empty."""
+    if translate == "ignored":
+        monkeypatch.setattr(et, "zx_translate", lambda g, z: z)
+    cxs = short_cxs()
+    want = [(c, d) for c in cxs for d in cxs if not law_holds(c, d)]
+    assert et.theta_morphism_check(cxs, cxs) == want
+    assert bool(want) == (translate == "ignored")
 
 
 def test_theta_separates_normalized_words():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import expansions_oracle
+from words_oracle import prefixes, reduce_group_word
 from ehresmann import expansions as ex
 from ehresmann import scheiblich as sch
 from ehresmann import words
@@ -52,6 +53,21 @@ def test_mm_munn_isomorphism(u, v):
     expansions_oracle.validate(puv.graph)
     assert ex.mm_to_munn(puv) == sch.munn_multiply(mu, mv)
     assert ex.mm_to_munn(ex.mm_inverse(pu)) == sch.munn_inverse(mu)
+
+
+@given(st.lists(group_words, max_size=5), st.integers(0, 100))
+def test_munn_to_mm_matches_the_oracle(ws, k):
+    """Prefix-closed sets of words over x and y, and a point among them, in
+    the free group on x, y and z: z occurs in no set, so the oracle also
+    tests the letters that are not there."""
+    base = FreeGroup(("x", "y", "z"))
+    aset = sorted({p for w in ws for p in prefixes(reduce_group_word(w))} | {()})
+    p = sch.MunnElement(frozenset(aset), aset[k % len(aset)])
+    got = ex.munn_to_mm(base, p)
+    assert got == expansions_oracle.munn_to_mm(base, p)
+    expansions_oracle.validate(got.graph)
+    assert len(got.graph.edges) == len(aset) - 1  # a tree
+    assert ex.mm_to_munn(got) == p
 
 
 @given(group_words)

@@ -34,6 +34,28 @@ def test_gmul_matches_concat_reduce(u, v):
     assert words.gmul(u, v) == reduce_group_word(u + v)
 
 
+def test_gmul_at_the_seam():
+    x, X, y = ("x", 1), ("x", -1), ("y", 1)
+    cases = [
+        ((), (x, y)),  # an empty side
+        ((x, y), ()),
+        ((), ()),
+        ((x,), (x,)),  # same letter, same sign: nothing cancels
+        ((y, X), (X, y)),
+        ((x,), (y,)),  # different letters
+        ((x,), (X,)),  # x x^-1
+        ((X, y), (("y", -1), x)),  # full cancellation
+        ((y, x), (X,)),  # partial cancellation, each side
+        ((x,), (X, y, X)),
+        ((y, x), (X, ("y", -1), x)),
+    ]
+    for g, h in cases:
+        assert words.gmul(g, h) == reduce_group_word(g + h), (g, h)
+    assert words.gmul((x,), (x,)) == (x, x)
+    assert words.gmul((X, y), (("y", -1), x)) == ()
+    assert words.gmul((y, x), (X,)) == (y,)
+
+
 @given(group_words)
 def test_inverse_cancels(w):
     w = reduce_group_word(w)
