@@ -340,7 +340,16 @@ def _left_divide(S: XTree, T: XTree, nS: normalform.NormalForm,
 
 def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
     """An A with A S = T, or None; exact via normal-form alignment plus
-    verification by multiplication."""
+    verification by multiplication.
+
+    Before either normal form, None when trunk(S) is not a suffix of
+    trunk(T): the trunk of A S is trunk(A) trunk(S), and prune fixes the
+    trunk, so A S = T forces trunk(T) = trunk(A) trunk(S)."""
+    for t in (S, T):
+        if not xtree.is_left_ehresmann(t):
+            raise ValueError("inputs must be left-Ehresmann trees")
+    if not is_suffix(xtree.trunk_word(S), xtree.trunk_word(T)):
+        return None
     return _left_divide(S, T, normalform.normal_form_of_tree(S), normalform.normal_form_of_tree(T))
 
 

@@ -131,8 +131,10 @@ def theta_morphism_check(
     (c d) theta = c theta * (c's trunk acting on d theta).
 
     theta is computed once for each distinct C-word of cs and ds, and once
-    for each product c d."""
+    for each product c d; d theta is translated once for each distinct
+    trunk of cs."""
     images = {c: theta(c) for c in dict.fromkeys((*cs, *ds))}
+    shifted: Dict[Tuple[Word, CXWord], ZXElement] = {}
     failures: List[Tuple[CXWord, CXWord]] = []
     for c in cs:
         tc = images[c]
@@ -140,7 +142,10 @@ def theta_morphism_check(
         for d in ds:
             td = images[d]
             lhs = theta(cx_multiply(c, d))
-            rhs_zx = zx_multiply(tc.zx, zx_translate(g, td.zx))
+            key = (tc.trunk, d)
+            if key not in shifted:
+                shifted[key] = zx_translate(g, td.zx)
+            rhs_zx = zx_multiply(tc.zx, shifted[key])
             if not (lhs.zx == rhs_zx and lhs.trunk == tc.trunk + td.trunk):
                 failures.append((c, d))
     return failures

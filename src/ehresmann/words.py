@@ -48,8 +48,9 @@ def is_positive(g: GroupWord) -> bool:
 def is_prefix_closed(aset: Iterable[GroupWord]) -> bool:
     """Every prefix of every word is in the set.  It is enough that each
     non-empty word drops its last letter into the set: by induction on
-    length, every shorter prefix is then in the set too."""
-    s = set(aset)
+    length, every shorter prefix is then in the set too.  A set or
+    frozenset is read as given; any other iterable is copied into one."""
+    s = aset if isinstance(aset, (set, frozenset)) else set(aset)
     return all(g[:-1] in s for g in s if g)
 
 

@@ -17,6 +17,9 @@ with e_i b a^i = b a^i and e_i b a^{i-1} != b a^{i-1} in the model ctx of
 e_i that ``check_forbidden_config`` takes; for freemonoid it is ({x^{2i}}, 1),
 smaller than (b a^i)^+ = ({1, x, ..., x^{2i}}, 1).
 
+``left_divide`` is ``coherence.left_divide`` without its trunk test: it
+always aligns the two normal forms.  The two must return the same divisor.
+
 ``check_forbidden_config`` and ``check_bgr_config`` are the certificates
 as they were before their elements were hoisted out of the comparison
 loops: each (b a^j)* and each triple product is recomputed where it is
@@ -28,7 +31,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ehresmann import coherence as co
-from ehresmann import expansions, xtree
+from ehresmann import expansions, normalform, xtree
 from ehresmann.psdp import PSetElement
 from ehresmann.xtree import XTree, tree_multiply
 
@@ -45,6 +48,10 @@ def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None) -> bool:
     if side == "right":
         return any(tree_multiply(T, A) == U for A in co._enum(labels, bound))
     raise ValueError("side must be left or right")
+
+
+def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
+    return co._left_divide(S, T, normalform.normal_form_of_tree(S), normalform.normal_form_of_tree(T))
 
 
 def _star_set_fi(i: int) -> frozenset:

@@ -189,6 +189,17 @@ def test_theta_grid_computes_theta_once_per_c_word(capsys, monkeypatch):
     assert len(calls) == 18 + 18 ** 2
 
 
+@pytest.mark.parametrize("bound, translations", [(2, 7 * 18), (3, 930)])
+def test_theta_grid_translates_once_per_trunk_and_d(capsys, monkeypatch, bound, translations):
+    """d theta is translated once for each distinct trunk of a c: --bound 2
+    has 18 C-words with 7 trunks; a translation per pair would be 18^2."""
+    calls = []
+    translate = cli.et.zx_translate
+    monkeypatch.setattr(cli.et, "zx_translate", lambda g, a: calls.append(g) or translate(g, a))
+    assert run(capsys, "check", "theta-morphism", "--bound", str(bound))[0] == 0
+    assert len(calls) == translations
+
+
 # -- depth and bound ----------------------------------------------------------
 
 def test_zero_depth_and_bound_are_kept(capsys):

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import coherence_oracle
 from coherence_oracle import E_STREAMS, STAR_SETS, divides
+from ehresmann import cli
 from ehresmann import coherence as co
 from ehresmann import normalform as nf
 from ehresmann import psdp, xtree
@@ -227,6 +229,47 @@ def test_left_divide_agrees_with_search():
                 assert tree_multiply(got, T) == U
             else:
                 assert all(tree_multiply(C, T) != U for C in le_trees(3))
+
+
+@pytest.fixture(scope="module")
+def flad_ideals_pool():
+    """The trees flad-ideals draws its operands from: the left-Ehresmann
+    trees of at most 3 edges over {a, b} and the 24 terms of its catalog."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import flad_catalog
+    terms = [cli.eval_term(t, "flad")[1] for t in flad_catalog()]
+    return list(co._enum("ab", 3)) + terms
+
+
+def test_left_divide_matches_the_normal_form_oracle(flad_ideals_pool):
+    pool = flad_ideals_pool
+    assert len(pool) == 80 + 24
+    found = 0
+    for S, T in itertools.product(pool, repeat=2):
+        got = co.left_divide(S, T)
+        assert got == coherence_oracle.left_divide(S, T), (S, T)
+        found += got is not None
+    assert found  # the pool reaches the suffix-compatible path
+
+
+def test_left_divide_rejects_incompatible_trunks_before_any_normal_form(monkeypatch):
+    seen = []
+    real = nf.normal_form_of_tree
+    monkeypatch.setattr(nf, "normal_form_of_tree", lambda t: seen.append(t) or real(t))
+    assert co.left_divide(B, A) is None
+    assert seen == []
+    assert co.left_divide(B, tree_multiply(A, B)) == A
+    assert len(seen) == 2
+
+
+def test_left_divide_takes_only_left_ehresmann_trees():
+    a_star = xtree.tree_star(A)
+    assert not xtree.is_left_ehresmann(a_star)
+    with pytest.raises(ValueError, match="left-Ehresmann"):
+        co.left_divide(a_star, B)  # trunks compatible: 1 is a suffix of b
+    with pytest.raises(ValueError, match="left-Ehresmann"):
+        co.left_divide(A, a_star)  # trunks incompatible: a is no suffix of 1
 
 
 def test_left_intersection_cases():

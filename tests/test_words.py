@@ -87,8 +87,26 @@ def test_is_prefix_closed_matches_the_oracle(ws, dropped):
     list (dropping a word no other word extends keeps it closed)."""
     closure = sorted({p for w in ws for p in prefixes(reduce_group_word(w))})
     aset = {w for i, w in enumerate(closure) if i not in dropped}
-    assert words.is_prefix_closed(aset) == prefix_closed(aset)
+    want = prefix_closed(aset)
+    assert words.is_prefix_closed(aset) == want
+    assert words.is_prefix_closed(frozenset(aset)) == want
+    assert words.is_prefix_closed(iter(sorted(aset))) == want
     assert words.is_prefix_closed(closure)
+
+
+def test_is_prefix_closed_reads_a_frozenset_as_given():
+    """MunnElement passes its frozenset: membership is tested in it, not
+    in a copy."""
+    class Counted(frozenset):
+        lookups = 0
+
+        def __contains__(self, g):
+            Counted.lookups += 1
+            return super().__contains__(g)
+
+    g = (("a", 1), ("b", -1))
+    assert words.is_prefix_closed(Counted(prefixes(g)))
+    assert Counted.lookups == 2  # one per non-empty word
 
 
 def test_is_suffix():
