@@ -5,10 +5,11 @@
 
 Terms: juxtaposition is product, postfix ^+ ^* ^-1, parentheses, and 1 for
 the identity.  Models: fad, flad (pruned trees), fi/fa/fla (free inverse /
-ample / left ample), sdp:Z, sdp:F (power-set semidirect products), mm
-(Cayley-subgraph pairs over the free group), sz (Szendrei pairs), qn:<n>
-(size-truncated quotient of S(Z)).  In sdp:Z and qn:<n> the letters g, h, e
-denote the standard triple ((0,+1), (0,-1), ({0},0)).
+ample / left ample), sdp:Z, sdp:F (power-set semidirect products over Z
+and the free group), mm (Cayley-subgraph pairs over the free group), sz
+(Szendrei pairs: the inverse sub-monoid of sdp:F whose sets hold 1 and the
+point), qn:<n> (size-truncated quotient of S(Z)).  In sdp:Z and qn:<n> the
+letters g, h, e denote the standard triple ((0,+1), (0,-1), ({0},0)).
 
 Each check takes the options listed by `ehres check NAME --help`.  Check
 exit codes: 0 pass, 1 fail, 2 inconclusive; errors, including a usage error
@@ -89,22 +90,9 @@ def parse_term(text: str):
     return factors[0] if len(factors) == 1 else ("mul", *factors)
 
 
-def term_atoms(node) -> List[str]:
-    """The atoms of a parsed term, left to right."""
-    out: List[str] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n[0] == "atom":
-            out.append(n[1])
-        else:
-            stack.extend(reversed([c for c in n[1:] if isinstance(c, tuple)]))
-    return out
-
-
 def eval_term(text: str, model_name: str):
     node = parse_term(text)
-    structure = get_structure(model_name, set(term_atoms(node)))
+    structure = get_structure(model_name)
     return structure, structure.finish(structure.eval(node))
 
 
@@ -188,7 +176,7 @@ def _lemma_m_n(depth=3):
         # u b a^i = b a^i needs the marked power to land in the i-th
         # shifted copy of T, and to miss all earlier shifted copies
         s = 2 * (i - 1) + tri[2 * i] + 1
-        u = psdp.PSetElement(ctx.base, frozenset({("x",) * s}), ())
+        u = psdp.PSetElement(ctx.one.base, frozenset({("x",) * s}), ())
         wits.append((u, ctx.one))
     universe = [ctx.one, b] + [u for u, _ in wits[:2]]
     return co.check_lemma_m_n(a, b, wits, N, universe, ctx)
@@ -228,7 +216,7 @@ def _right_intersect(s="a", t="b", bound=None):
 
 def _mm_fi_iso(bound=4):
     bound = _size("bound", bound)
-    base = psdp.FreeGroup(("x", "y"))
+    base = psdp.FreeGroup()
     # (letter, its MM step, its Munn step) for x, x^-1, y, y^-1
     steps = []
     for name in "xy":
@@ -249,6 +237,8 @@ def _mm_fi_iso(bound=4):
 
 
 def _theta_morphism(gamma=None, delta=None, bound=None):
+    """theta's morphism law on the free product of C-words (one pair, or all
+    pairs up to --bound letters); no map on FLAd or FAd trees is checked."""
     if gamma is not None or delta is not None:
         if bound is not None:
             raise ValueError("--bound cannot be combined with --gamma/--delta")

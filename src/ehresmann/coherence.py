@@ -188,7 +188,7 @@ def check_ghe_quotient_conditions(N: int, ctx: Structure) -> ConfigReport:
     failures: List[Tuple[str, Any]] = []
 
     def el(exps) -> QnElement:
-        return QnElement(ctx.base, ctx.one.n, frozenset(exps), 0)
+        return QnElement(ctx.one.base, ctx.one.n, frozenset(exps), 0)
 
     for m in range(-N, N + 1):
         for n in range(-N, N + 1):
@@ -237,12 +237,12 @@ def triangle_config(N: int):
     """(S(X*), a, b, odd triangulars, window) for a = (T, x^2), b = ({1}, x),
     with the infinite set T of odd-triangular powers materialized up to a
     window bound large enough for all products compared at depth N."""
-    ctx = semidirect(psdp.FreeMonoid(("x",)))
+    ctx = semidirect(psdp.FreeMonoid())
     tri = odd_triangulars(2 * N + 2)
     window = 2 * N + 1 + tri[-1]
     tset = frozenset(("x",) * t for t in odd_triangulars(window) if t <= window)
-    a = PSetElement(ctx.base, tset, ("x",) * 2)
-    b = PSetElement(ctx.base, frozenset({()}), ("x",))
+    a = PSetElement(ctx.one.base, tset, ("x",) * 2)
+    b = PSetElement(ctx.one.base, frozenset({()}), ("x",))
     return ctx, a, b, tri, window
 
 
@@ -256,8 +256,8 @@ def check_triangle(N: int) -> ConfigReport:
         apow.append(ctx.mul(apow[-1], a))
     for i in range(1, N + 1):
         t_exp = tri[2 * i] - 2 * i - 1  # t_{2i+1} with 1-based indexing
-        u = PSetElement(ctx.base, frozenset({("x",) * t_exp}), ())
-        v = PSetElement(ctx.base, frozenset(), ())
+        u = PSetElement(ctx.one.base, frozenset({("x",) * t_exp}), ())
+        v = PSetElement(ctx.one.base, frozenset(), ())
         aib = ctx.mul(apow[i], b)
         if ctx.mul(aib, u) != ctx.mul(aib, v):
             failures.append(("eq", {"i": i}))
@@ -455,7 +455,7 @@ def example(name: str):
     b of freemonoid omits 1 from its set, so no term over the generators
     of a model reaches it, and it is built by hand."""
     if name == "freemonoid":
-        base = psdp.FreeGroup(("x",))
+        base = psdp.FreeGroup()
         x2 = (("x", 1),) * 2
         a = PSetElement(base, frozenset({(), x2}), x2)
         b = PSetElement(base, frozenset({(("x", 1),)}), ())
@@ -463,5 +463,5 @@ def example(name: str):
     if name not in _EXAMPLES:
         raise ValueError(f"unknown example {name!r}")
     model, a, b = _EXAMPLES[name]
-    ctx = get_structure(model, (a, b))
+    ctx = get_structure(model)
     return ctx, ctx.atom(a), ctx.atom(b)

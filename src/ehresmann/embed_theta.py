@@ -10,7 +10,9 @@ acting by translating the index h.
 tau(w, h) = y_{x1,h} y_{x2,h x1} ... marks the letters of w shifted by h;
 theta sends a C-word c to (tau(trunk, 1) * prod of e_{f,p} over the
 left-splitting positions p, trunk), and is a morphism for the action
-product (c d) theta_1 = c theta_1 * (c theta_2 . d theta_1).
+product (c d) theta_1 = c theta_1 * (c theta_2 . d theta_1).  Scope: the
+morphism law on the free product of C-words; no map on FLAd or FAd trees is
+checked.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@
   vertex 1, and g a vertex of P.  Over the free group this is isomorphic
   to the free inverse monoid, witnessed by mm_to_munn / munn_to_mm.
 * Szendrei pairs Sz(G): (A, g) with A a finite subset of G containing 1
-  and g.
+  and g, an inverse sub-monoid of S(G) that uses S(G)'s product.
 * Size-truncated quotients Q_n(G) of the power-set semidirect product:
   a set component of size >= n collapses to a distinguished Top symbol.
 """
@@ -118,45 +118,16 @@ def munn_to_mm(base: BaseMonoid, p: MunnElement) -> MMElement:
 
 
 @dataclass(frozen=True)
-class SzElement:
-    """(A, g) with 1, g in A; multiplies like the semidirect product."""
-
-    base: BaseMonoid
-    elems: FrozenSet[Any]
-    point: Any
+class SzElement(PSetElement):
+    """(A, g) with 1, g in A; multiplies and inverts in S(G) (``psdp``)."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.base.identity() not in self.elems or self.point not in self.elems:
             raise ValueError("set must contain 1 and the point")
 
     def to_json(self) -> dict:
         return {"set": sorted(repr(e) for e in self.elems), "point": repr(self.point)}
-
-
-def sz_identity(base: BaseMonoid) -> SzElement:
-    one = base.identity()
-    return SzElement(base, frozenset({one}), one)
-
-
-def sz_generator(base: BaseMonoid, x: str) -> SzElement:
-    one = base.identity()
-    g = _step(base, one, x)
-    return SzElement(base, frozenset({one, g}), g)
-
-
-def sz_multiply(p: SzElement, q: SzElement) -> SzElement:
-    base = p.base
-    return SzElement(
-        base,
-        p.elems | frozenset(base.multiply(p.point, e) for e in q.elems),
-        base.multiply(p.point, q.point),
-    )
-
-
-def sz_inverse(p: SzElement) -> SzElement:
-    base = p.base
-    gi = base.invert(p.point)
-    return SzElement(base, frozenset(base.multiply(gi, e) for e in p.elems), gi)
 
 
 class _Top:

@@ -9,6 +9,10 @@ restriction) monoid with
     (Y, g)* = (g^-1 Y, 1)        (Y, g)+ = (Y, 1)
 
 and idempotents exactly the pairs ``(Y, 1)``.
+
+A base is a stateless value, equal to every base of its type.  The product
+and inverse keep the class of their first operand, so a sub-monoid such as
+Sz(G) (``expansions.SzElement``) subclasses ``PSetElement`` for its invariant.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ class BaseMonoid:
         return x
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.__dict__ == getattr(other, "__dict__", None)
+        return type(self) is type(other)
 
     def __hash__(self) -> int:
-        return hash((type(self), tuple(sorted(self.__dict__.items()))))
+        return hash(type(self))
 
     def __repr__(self) -> str:
         return self.name
@@ -63,11 +67,9 @@ class IntegersAdd(BaseMonoid):
 
 
 class FreeMonoid(BaseMonoid):
-    """X* for a finite alphabet; elements are positive words."""
+    """The free monoid; elements are positive words."""
 
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        self.name = "free-monoid(" + ",".join(self.alphabet) + ")"
+    name = "free-monoid"
 
     def identity(self) -> Word:
         return words.EMPTY
@@ -80,11 +82,9 @@ class FreeMonoid(BaseMonoid):
 
 
 class FreeGroup(BaseMonoid):
-    """F_X for a finite alphabet; elements are reduced group words."""
+    """The free group; elements are reduced group words."""
 
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        self.name = "free-group(" + ",".join(self.alphabet) + ")"
+    name = "free-group"
 
     def identity(self) -> GroupWord:
         return words.GEMPTY
@@ -127,22 +127,18 @@ def sdp_identity(base: BaseMonoid) -> PSetElement:
     return PSetElement(base, frozenset(), base.identity())
 
 
-def _check_same_base(p: PSetElement, q: PSetElement) -> None:
+def sdp_multiply(p: PSetElement, q: PSetElement) -> PSetElement:
     if p.base != q.base:
         raise ValueError(f"mixed bases {p.base!r} and {q.base!r}")
-
-
-def sdp_multiply(p: PSetElement, q: PSetElement) -> PSetElement:
-    _check_same_base(p, q)
     base = p.base
     shifted = frozenset(base.multiply(p.point, e) for e in q.elems)
-    return PSetElement(base, p.elems | shifted, base.multiply(p.point, q.point))
+    return type(p)(base, p.elems | shifted, base.multiply(p.point, q.point))
 
 
 def sdp_inverse(p: PSetElement) -> PSetElement:
     base = p.base
     gi = base.invert(p.point)
-    return PSetElement(base, frozenset(base.multiply(gi, e) for e in p.elems), gi)
+    return type(p)(base, frozenset(base.multiply(gi, e) for e in p.elems), gi)
 
 
 def sdp_star(p: PSetElement) -> PSetElement:

@@ -7,10 +7,10 @@ parsed terms.  Its element functions are ``<prefix>_multiply``,
 ``<prefix>_plus``, ``<prefix>_star`` and ``<prefix>_inverse`` of one
 module, and ``<prefix>_product`` where the module has one, looked up on
 the module at every call, so rebinding a module attribute (as a tracer
-does) reaches them.  The tree models also name their module's reduction
-(``prune``): they evaluate a whole term as one raw tree, built with
-``raw_product``, ``raw_plus`` and ``raw_star``, and reduce it once at the
-end.
+does) reaches them.  A model whose module has ``raw_product`` (the trees)
+evaluates a whole term as one raw tree, built with ``raw_product``,
+``raw_plus`` and ``raw_star``, and reduces it once at the end with the
+module's ``prune``.
 """
 
 from __future__ import annotations
@@ -38,13 +38,9 @@ class Structure:
     module: Any
     prefix: str
     unary: Tuple[str, ...] = ("plus", "star", "inverse")
-    base: Any = None
     idempotent: Optional[Callable[[Any], bool]] = None  # default: point is 1
     finish: Callable[[Any], Any] = _unchanged  # sub-monoid membership check
     sort_keys: bool = True  # of the JSON rendering
-    # the module's reduction of a raw value ("prune" for trees); when set,
-    # eval builds the term raw and reduces once (see eval)
-    reduce: Optional[str] = None
 
     def mul(self, a, b):
         return getattr(self.module, self.prefix + "_multiply")(a, b)
@@ -109,12 +105,12 @@ class Structure:
         because the product is associative.  The fold, which reduces at
         every node, is kept in the tests as the oracle.
 
-        A model with ``reduce`` (the trees) makes no element until the end:
-        an atom is its letter tree, 1 the one-vertex tree, a product node
-        ``raw_product`` of its factors, and ``^+``/``^*`` re-point the raw
-        tree (``raw_plus``/``raw_star``).  The whole term is one raw tree,
-        pruned once.  That equals reducing at every node, by induction on
-        the term:
+        A model whose module has ``raw_product`` (the trees) makes no element
+        until the end: an atom is its letter tree, 1 the one-vertex tree, a
+        product node ``raw_product`` of its factors, and ``^+``/``^*``
+        re-point the raw tree (``raw_plus``/``raw_star``).  The whole term is
+        one raw tree, pruned once.  That equals reducing at every node, by
+        induction on the term:
 
         * ``prune(T)`` is a retraction of T that fixes the trunk, so it
           fixes start and end.  It is therefore also a retraction of
@@ -128,7 +124,7 @@ class Structure:
         Errors are raised where the reducing evaluation raises them: an
         operation the model lacks fails when it is reached, on its
         evaluated operand."""
-        raw = self.reduce is not None
+        raw = hasattr(self.module, "raw_product")
         prefix = "raw" if raw else self.prefix
         values: List[Any] = []
         work: List[Any] = [node]
@@ -150,12 +146,12 @@ class Structure:
                 work.extend(reversed(item[1:]))
             else:
                 work += [_NODE_OP[item[0]], item[1]]
-        return getattr(self.module, self.reduce)(values.pop()) if raw else values.pop()
+        return self.module.prune(values.pop()) if raw else values.pop()
 
 
 def semidirect(base: psdp.BaseMonoid, name: str = "sdp", atom=None) -> Structure:
     """S(base), the power-set semidirect product over a base monoid."""
-    return Structure(name, psdp.sdp_identity(base), atom, psdp, "sdp", base=base)
+    return Structure(name, psdp.sdp_identity(base), atom, psdp, "sdp")
 
 
 def _lookup(name: str, letters: dict) -> Callable[[str], Any]:
@@ -176,12 +172,12 @@ def _member(test: Callable[[Any], bool], monoid: str) -> Callable[[Any], Any]:
     return finish
 
 
-def get_structure(name: str, alphabet=()) -> Structure:
-    """The model called `name`; free-group bases are over `alphabet`."""
+def get_structure(name: str) -> Structure:
+    """The model called `name`."""
     if name in ("fad", "flad"):
         unary = ("plus", "star") if name == "fad" else ("plus",)
         return Structure(name, xtree.IDENTITY_TREE, xtree.letter_tree, xtree, "tree",
-                         unary, idempotent=xtree.is_idempotent, reduce="prune")
+                         unary, idempotent=xtree.is_idempotent)
     if name in ("fi", "fa", "fla"):
         # fa/fla terms evaluate in the free inverse monoid; membership in the
         # sub-monoid is checked on the final result only
@@ -203,15 +199,17 @@ def get_structure(name: str, alphabet=()) -> Structure:
         name = f"qn:{n}"
         ghe = {k: ex.qn_from_sdp(v, n) for k, v in ghe.items()}
         return Structure(name, ex.qn_identity(Z, n), _lookup(name, ghe), ex, "qn",
-                         base=Z, sort_keys=False)
-    F = psdp.FreeGroup(tuple(sorted(alphabet)) or ("x",))
-    if name in ("sdp:F", "sdp:free"):
-        return semidirect(F, "sdp:F", lambda x: psdp.PSetElement(
-            F, frozenset({(), ((x, 1),)}), ((x, 1),)))
+                         sort_keys=False)
+    F = psdp.FreeGroup()
+
+    def generators(cls):  # x -> ({1, x}, x) in S(F) or its sub-monoid Sz(F)
+        return lambda x: cls(F, frozenset({(), ((x, 1),)}), ((x, 1),))
+
+    if name == "sdp:F":
+        return semidirect(F, name, generators(psdp.PSetElement))
     if name == "mm":
-        return Structure(name, ex.mm_identity(F), lambda x: ex.mm_generator(F, x), ex, "mm",
-                         base=F)
+        return Structure(name, ex.mm_identity(F), lambda x: ex.mm_generator(F, x), ex, "mm")
     if name == "sz":
-        return Structure(name, ex.sz_identity(F), lambda x: ex.sz_generator(F, x), ex, "sz",
-                         ("inverse",), base=F)
+        return Structure(name, ex.SzElement(F, frozenset({()}), ()), generators(ex.SzElement),
+                         psdp, "sdp", ("inverse",))
     raise ValueError(f"unknown model {name!r}")

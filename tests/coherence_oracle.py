@@ -79,17 +79,17 @@ STAR_SETS = {"fi": _star_set_fi, "freemonoid": _star_set_freemonoid}
 def _e_fi(ctx, i: int) -> PSetElement:
     """({1, h, hg, ..., hg^i}, 1)."""
     h = (("h", 1),)
-    return PSetElement(ctx.base, frozenset({()} | {h + (("g", 1),) * k for k in range(i + 1)}), ())
+    return PSetElement(ctx.one.base, frozenset({()} | {h + (("g", 1),) * k for k in range(i + 1)}), ())
 
 
 def _e_freemonoid(ctx, i: int) -> PSetElement:
     """({x^{2i}}, 1)."""
-    return PSetElement(ctx.base, frozenset({_xp(2 * i)}), _xp(0))
+    return PSetElement(ctx.one.base, frozenset({_xp(2 * i)}), _xp(0))
 
 
 def _e_mm(ctx, i: int):
     """(P_{y x^i}, 1)."""
-    return ctx.plus(expansions.mm_from_word(ctx.base, (("y", 1),) + (("x", 1),) * i))
+    return ctx.plus(expansions.mm_from_word(ctx.one.graph.base, (("y", 1),) + (("x", 1),) * i))
 
 
 def _e_fad(ctx, i: int) -> XTree:

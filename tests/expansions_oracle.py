@@ -7,8 +7,8 @@ conditions by a search from 1; ``expansions.mm_multiply`` and
 validate what they return.
 
 ``munn_to_mm`` rebuilds the graph on a prefix-closed set by testing, for
-every word h of the set and every letter x of the set or of the base
-alphabet, whether h x is in the set.  ``expansions.munn_to_mm`` reads one
+every word h of the set and every letter x that occurs in the set, whether
+h x is in the set (an edge on any other letter has an end outside the set).  ``expansions.munn_to_mm`` reads one
 edge off the last letter of each word and must agree with it.
 """
 
@@ -44,7 +44,7 @@ def validate(graph: CayleySubgraph) -> None:
 
 
 def munn_to_mm(base, p: MunnElement) -> MMElement:
-    names = {n for g in p.aset for n, _ in g} | set(getattr(base, "alphabet", ()))
+    names = {n for g in p.aset for n, _ in g}
     edges = frozenset(
         (h, name) for h in p.aset for name in names if words.gmul(h, ((name, 1),)) in p.aset
     )

@@ -323,7 +323,7 @@ def test_deep_input_exits_with_an_error(capsys):
 
 
 def test_deeply_nested_input_evaluates(capsys):
-    # parsing, evaluation and term_atoms keep explicit stacks
+    # parsing and evaluation keep explicit stacks
     a = xtree.letter_tree("a")
     for term, want in (
         ("(" * 600 + "a" + ")" * 600, a),

@@ -117,9 +117,9 @@ def test_example_star_sets_match_closed_forms():
 
 def test_bgr_config_integers():
     ctx = get_structure("sdp:Z")
-    g = PSetElement(ctx.base, frozenset(), 1)
-    h = PSetElement(ctx.base, frozenset(), -1)
-    e = PSetElement(ctx.base, frozenset({0}), 0)
+    g = PSetElement(ctx.one.base, frozenset(), 1)
+    h = PSetElement(ctx.one.base, frozenset(), -1)
+    e = PSetElement(ctx.one.base, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
     # swapping e for the identity breaks the configuration
     bad = co.check_bgr_config(g, h, ctx.one, 3, ctx)
@@ -128,9 +128,9 @@ def test_bgr_config_integers():
 
 def test_bgr_config_survives_truncation():
     ctx = get_structure("qn:3")
-    g = ctx.one.__class__(ctx.base, 3, frozenset(), 1)
-    h = ctx.one.__class__(ctx.base, 3, frozenset(), -1)
-    e = ctx.one.__class__(ctx.base, 3, frozenset({0}), 0)
+    g = ctx.one.__class__(ctx.one.base, 3, frozenset(), 1)
+    h = ctx.one.__class__(ctx.one.base, 3, frozenset(), -1)
+    e = ctx.one.__class__(ctx.one.base, 3, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
 
 
@@ -313,6 +313,23 @@ def test_left_intersection_computes_one_normal_form_per_operand(monkeypatch):
         res = co.left_ideal_intersection_FLAd(S, T)
         assert exit_reached(res), (S, T, res)
         assert len(seen) == 2 and set(seen) == {S, T}, (S, T, seen)
+
+
+def test_left_intersection_cofactors_reach_the_generator():
+    """generator = f_T T = f_S S for every principal result over the
+    left-Ehresmann trees of <= 3 edges."""
+    pool = le_trees(3)
+    assert len(pool) == 80
+    principal = 0
+    for S, T in itertools.product(pool, repeat=2):
+        res = co.left_ideal_intersection_FLAd(S, T)
+        if res.kind != "principal":
+            continue
+        principal += 1
+        G = res.generator
+        assert tree_multiply(res.left_factor_of_T, T) == G, (S, T, res)
+        assert tree_multiply(res.left_factor_of_S, S) == G, (S, T, res)
+    assert principal > 0
 
 
 def test_left_intersection_against_brute_force():

@@ -10,21 +10,20 @@ from words_oracle import prefixes, reduce_group_word
 from ehresmann import expansions as ex
 from ehresmann import scheiblich as sch
 from ehresmann import words
-from ehresmann.psdp import FreeGroup, IntegersAdd, PSetElement
+from ehresmann.psdp import FreeGroup, IntegersAdd, PSetElement, sdp_inverse, sdp_multiply
+from ehresmann.structures import get_structure
 
-F = FreeGroup(("x", "y"))
+F = FreeGroup()
+SZ = get_structure("sz")
 Z = IntegersAdd()
 
 signed = st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1)))
 group_words = st.lists(signed, max_size=6).map(tuple)
 
 
-def sz_from_word(base, g):
-    acc = ex.sz_identity(base)
-    for name, sign in g:
-        gen = ex.sz_generator(base, name)
-        acc = ex.sz_multiply(acc, gen if sign == 1 else ex.sz_inverse(gen))
-    return acc
+def sz_from_word(g):
+    gens = [SZ.atom(name) if sign == 1 else SZ.inv(SZ.atom(name)) for name, sign in g]
+    return SZ.product([SZ.one, *gens])
 
 
 def test_generator_graph():
@@ -58,9 +57,8 @@ def test_mm_munn_isomorphism(u, v):
 @given(st.lists(group_words, max_size=5), st.integers(0, 100))
 def test_munn_to_mm_matches_the_oracle(ws, k):
     """Prefix-closed sets of words over x and y, and a point among them, in
-    the free group on x, y and z: z occurs in no set, so the oracle also
-    tests the letters that are not there."""
-    base = FreeGroup(("x", "y", "z"))
+    the free group."""
+    base = FreeGroup()
     aset = sorted({p for w in ws for p in prefixes(reduce_group_word(w))} | {()})
     p = sch.MunnElement(frozenset(aset), aset[k % len(aset)])
     got = ex.munn_to_mm(base, p)
@@ -79,22 +77,36 @@ def test_mm_unary_ops(u):
 
 @given(group_words, group_words, group_words)
 def test_sz_is_a_monoid_with_involution(u, v, w):
-    pu, pv, pw = (sz_from_word(F, g) for g in (u, v, w))
-    assert ex.sz_multiply(ex.sz_multiply(pu, pv), pw) == ex.sz_multiply(
-        pu, ex.sz_multiply(pv, pw)
-    )
-    assert ex.sz_inverse(ex.sz_inverse(pu)) == pu
-    one = ex.sz_identity(F)
-    assert ex.sz_multiply(one, pu) == pu == ex.sz_multiply(pu, one)
+    pu, pv, pw = (sz_from_word(g) for g in (u, v, w))
+    assert SZ.mul(SZ.mul(pu, pv), pw) == SZ.mul(pu, SZ.mul(pv, pw))
+    assert SZ.inv(SZ.inv(pu)) == pu
+    assert SZ.mul(SZ.one, pu) == pu == SZ.mul(pu, SZ.one)
+
+
+@given(group_words, group_words)
+def test_sz_products_and_inverses_stay_in_sz(u, v):
+    """S(F)'s product and inverse keep the class of an Sz(F) element."""
+    pu, pv = sz_from_word(u), sz_from_word(v)
+    assert type(sdp_multiply(pu, pv)) is ex.SzElement
+    assert type(sdp_inverse(pu)) is ex.SzElement
+
+
+def test_sz_element_needs_one_and_its_point():
+    x = (("x", 1),)
+    with pytest.raises(ValueError, match="must contain 1 and the point"):
+        ex.SzElement(F, frozenset({x}), x)  # no 1
+    with pytest.raises(ValueError, match="must contain 1 and the point"):
+        ex.SzElement(F, frozenset({()}), x)  # no point
+    assert ex.SzElement(F, frozenset({(), x}), x) == SZ.atom("x")
 
 
 def test_sz_remembers_detours_but_not_backtracking():
     # x y y^-1 keeps the visited vertex xy; x x^-1 x collapses to x
     u = (("x", 1), ("y", 1), ("y", -1))
     v = (("x", 1),)
-    assert sz_from_word(F, u) != sz_from_word(F, v)
+    assert sz_from_word(u) != sz_from_word(v)
     uu = (("x", 1), ("x", -1), ("x", 1))
-    assert sz_from_word(F, uu) == sz_from_word(F, v)
+    assert sz_from_word(uu) == sz_from_word(v)
 
 
 def test_top_is_a_singleton_and_absorbs():

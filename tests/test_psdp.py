@@ -14,7 +14,7 @@ from ehresmann.psdp import (
 from ehresmann.structures import get_structure
 
 Z = IntegersAdd()
-F = FreeGroup(("g", "h"))
+F = FreeGroup()
 
 
 def zel(elems, point):
@@ -98,6 +98,12 @@ def test_json_roundtrip(p):
     assert zel(data["set"], data["point"]) == p
 
 
+def test_bases_are_equal_by_type():
+    assert FreeGroup() == FreeGroup()
+    assert hash(FreeGroup()) == hash(FreeGroup())
+    assert FreeGroup() != IntegersAdd()
+
+
 def test_mixed_bases_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed bases"):
         sdp_multiply(zel({0}, 1), PSetElement(F, frozenset({()}), ()))

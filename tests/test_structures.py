@@ -27,7 +27,7 @@ def elements(s, letters):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_fast_idempotent_test_agrees_with_the_definition(name):
-    s = get_structure(name, "xy")
+    s = get_structure(name)
     letters = {"fad": "ab", "flad": "ab", "sdp:Z": "ge", "qn:3": "ge"}.get(name, "xy")
     for a in elements(s, letters):
         try:
@@ -39,7 +39,7 @@ def test_fast_idempotent_test_agrees_with_the_definition(name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_power_is_repeated_product(name):
-    s = get_structure(name, "xy")
+    s = get_structure(name)
     letter = {"fad": "a", "flad": "a", "sdp:Z": "g", "qn:3": "g"}.get(name, "x")
     a = s.atom(letter)
     assert s.power(a, 0) == s.one
@@ -57,6 +57,12 @@ def test_negative_powers_use_the_inverse():
         get_structure("fad").power(get_structure("fad").atom("a"), -1)
 
 
+def test_unknown_models_are_refused():
+    for name in ("sdp:free", "sdp"):
+        with pytest.raises(ValueError, match="unknown model"):
+            get_structure(name)
+
+
 def random_node(rng, letters, unary, depth=3):
     """A random parsed term: products of 2-6 factors, unary nodes, atoms, 1."""
     roll = rng.random()
@@ -70,7 +76,7 @@ def random_node(rng, letters, unary, depth=3):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_eval_matches_the_left_fold(name):
-    s = get_structure(name, "xy")
+    s = get_structure(name)
     letters = LETTERS.get(name, "xy")
     unary = ["inv" if op == "inverse" else op for op in s.unary]  # node names
     rng = random.Random(f"eval-{name}")
