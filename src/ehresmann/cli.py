@@ -129,6 +129,7 @@ def _size(what: str, value: int) -> int:
 
 
 def _forbidden_config(model=None, depth=5, example=None, a=None, b=None):
+    """The forbidden L~ configuration of b a^i, (b a^i)^+ for i <= --depth."""
     N = _size("depth", depth)
     if a is not None or b is not None:
         if example is not None:
@@ -148,6 +149,7 @@ def _forbidden_config(model=None, depth=5, example=None, a=None, b=None):
 
 
 def _bgr(model="sdp:Z", depth=5):
+    """The (g, h, e) conditions (0)-(4ii) in sdp:Z or qn:<n>, exponents <= --depth."""
     N = _size("depth", depth)
     ctx = get_structure(model)
     if not (ctx.name == "sdp:Z" or ctx.name.startswith("qn:")):
@@ -157,6 +159,7 @@ def _bgr(model="sdp:Z", depth=5):
 
 
 def _ghe(model="qn:3", depth=4):
+    """The five non-relation families of <1> in Z, in the quotient qn:<n>, up to --depth."""
     N = _size("depth", depth)
     ctx = get_structure(model)
     if not ctx.name.startswith("qn:"):
@@ -165,10 +168,12 @@ def _ghe(model="qn:3", depth=4):
 
 
 def _triangle(depth=3):
+    """Witnesses u_i, v_i in S(x*) of a^i b u_i = a^i b v_i, not at i-1, for i <= --depth."""
     return co.check_triangle(_size("depth", depth))
 
 
 def _lemma_m_n(depth=3):
+    """The (m, n) lemma in S(x*) for m, n <= --depth: sampled implication, exact witnesses."""
     N = _size("depth", depth)
     ctx, a, b, tri, _ = co.triangle_config(N)
     wits = []
@@ -183,6 +188,7 @@ def _lemma_m_n(depth=3):
 
 
 def _annihilator(term="b a^+"):
+    """Generators of the right annihilator r(T) = {(U, V) : TU = TV} of a flad term."""
     t = eval_term(term, "flad")[1]
     gens = co.right_annihilator_FLAd(t)
     notes = [
@@ -193,6 +199,7 @@ def _annihilator(term="b a^+"):
 
 
 def _left_intersect(s="a", t="b"):
+    """The left ideal intersection MS n MT of two flad terms: empty or principal."""
     S = eval_term(s, "flad")[1]
     T = eval_term(t, "flad")[1]
     res = co.left_ideal_intersection_FLAd(S, T)
@@ -206,6 +213,7 @@ def _left_intersect(s="a", t="b"):
 
 
 def _right_intersect(s="a", t="b", bound=None):
+    """Generators of the right ideal intersection TM n SM, searched up to --bound edges."""
     S = eval_term(s, "flad")[1]
     T = eval_term(t, "flad")[1]
     cap = len(S.edges) + len(T.edges) + 4 if bound is None else _size("bound", bound)
@@ -215,6 +223,7 @@ def _right_intersect(s="a", t="b", bound=None):
 
 
 def _mm_fi_iso(bound=4):
+    """The isomorphism of M(F, X) and Munn trees, on every word of <= --bound letters."""
     bound = _size("bound", bound)
     base = psdp.FreeGroup()
     # (letter, its MM step, its Munn step) for x, x^-1, y, y^-1
@@ -314,7 +323,8 @@ def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParse
         # an option not given is left out, so the signature's default applies;
         # no prefixes, so `--b` of one check is never `--bound` of another
         p = leaves[name] = checks.add_parser(
-            name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+            name, description=inspect.getdoc(fn),
+            argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for param in inspect.signature(fn).parameters:
             p.add_argument("--" + param, type=int if param in ("depth", "bound") else str)
     return parser, leaves

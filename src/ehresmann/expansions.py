@@ -117,7 +117,7 @@ def munn_to_mm(base: BaseMonoid, p: MunnElement) -> MMElement:
     return MMElement(CayleySubgraph(base, p.aset, edges), p.point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SzElement(PSetElement):
     """(A, g) with 1, g in A; multiplies and inverts in S(G) (``psdp``)."""
 

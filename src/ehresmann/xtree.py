@@ -10,10 +10,14 @@ can be deleted.  ``prune`` finds all deletable branches in one top-down pass
 over the tree rooted at the start, with one memoized simulation relation on
 the input tree shared by every candidate (its docstring says why one pass
 suffices); the restart-loop definition is kept in the tests as an oracle
-(``tests/prune_oracle.py``).  ``trunk_factorization`` cuts a pruned tree
-into the idempotent bundles of branches at its trunk vertices without
-pruning again; the factorization that prunes every bundle is kept in
-``tests/normalform_oracle.py``.
+(``tests/prune_oracle.py``).  Every function here that needs the tree
+rooted at its start roots it in one BFS (``_rooted``), which records each
+vertex's parent edge, so the trunk is read up the parent pointers from the
+end.  ``prune`` builds codes only when its result branches: a pruned path
+is numbered in BFS order, which is then its preorder.
+``trunk_factorization`` cuts a pruned tree into the idempotent bundles of
+branches at its trunk vertices without pruning again; the factorization
+that prunes every bundle is kept in ``tests/normalform_oracle.py``.
 
 Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
 ``T+`` re-points end := start; ``T*`` re-points start := end.  A product
@@ -100,53 +104,64 @@ def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
     return adj
 
 
-def _rooted_children(
-    t: RawTree, adj=None
-) -> Tuple[List[Optional[int]], List[List[Tuple[str, int, int, int]]], List[int]]:
-    """Root at start: (parent array, children[v] lists like adjacency, BFS order)."""
-    if adj is None:
-        adj = _adjacency(t)
-    parent: List[Optional[int]] = [None] * t.nv
-    children: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
-    order = [t.start]
-    seen = [False] * t.nv
-    seen[t.start] = True
+def _rooted(adj, start: int):
+    """Root the tree at `start` in one BFS: (parent, up, children, order).
+
+    children[v] lists v's entries (label, orient, child, edge index) of adj
+    that lead away from the start, and up[v] is v's own entry in the list of
+    its parent parent[v]; at the start and at unreached vertices up[v] is
+    None and parent[v] is -1.  order is the BFS order, parents first.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    up: List[Optional[Tuple[str, int, int, int]]] = [None] * n
+    children: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(n)]
+    order = [start]
+    seen = bytearray(n)
+    seen[start] = 1
     for v in order:
-        for lab, o, w, i in adj[v]:
+        kids = children[v]
+        for k in adj[v]:
+            w = k[2]
             if not seen[w]:
-                seen[w] = True
+                seen[w] = 1
                 parent[w] = v
-                children[v].append((lab, o, w, i))
+                up[w] = k
+                kids.append(k)
                 order.append(w)
-    return parent, children, order
+    return parent, up, children, order
 
 
-def _trunk(t: RawTree, parent, children) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
-    """The directed start->end path of a rooted tree: (word, edge indices, vertices)."""
-    word: List[str] = []
-    eidx: List[int] = []
-    path = [t.end]
+def _trunk(t: RawTree, parent, up) -> List[Tuple[str, int, int, int]]:
+    """The trunk's edges as rooted entries (label, orient, vertex, edge index),
+    read up the parent pointers from the end back to the start."""
+    path = []
     v = t.end
     while v != t.start:
-        p = parent[v]
-        if p is None:
+        k = up[v]
+        if k is None:
             raise ValueError("end not connected to start")
-        for lab, o, w, i in children[p]:
-            if w == v:
-                break
-        if o != 1:
+        if k[1] != 1:
             raise ValueError("no directed start->end path (trunk missing)")
-        word.append(lab)
-        eidx.append(i)
-        path.append(p)
-        v = p
-    return tuple(reversed(word)), tuple(reversed(eidx)), tuple(reversed(path))
+        path.append(k)
+        v = parent[v]
+    path.reverse()
+    return path
 
 
 def trunk_path(t: RawTree) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
     """The directed start->end path: (word, edge indices, vertex sequence)."""
-    parent, children, _ = _rooted_children(t)
-    return _trunk(t, parent, children)
+    parent, up, _, _ = _rooted(_adjacency(t), t.start)
+    path = _trunk(t, parent, up)
+    return (
+        tuple([k[0] for k in path]),
+        tuple([k[3] for k in path]),
+        (t.start,) + tuple([k[2] for k in path]),
+    )
+
+
+_LEAF = (0, ())
+_END_LEAF = (1, ())
 
 
 def _codes(order, children, end: int) -> list:
@@ -154,62 +169,82 @@ def _codes(order, children, end: int) -> list:
 
     code[v] = (1 if v is the end else 0, sorted (label, orient, child code));
     equal codes <=> isomorphic subtrees.  Each children[v] is sorted in place
-    into that order, which is the order of the canonical numbering.
+    into that order, which is the order of the canonical numbering.  A leaf
+    or a vertex with one child needs no sort.
     """
     code: list = [None] * len(children)
     for v in reversed(order):
         kids = children[v]
-        if len(kids) > 1:
+        if not kids:
+            code[v] = _END_LEAF if v == end else _LEAF
+        elif len(kids) == 1:
+            lab, o, w, _ = kids[0]
+            code[v] = (1 if v == end else 0, ((lab, o, code[w]),))
+        else:
             kids.sort(key=lambda k: (k[0], k[1], code[k[2]]))
-        code[v] = (1 if v == end else 0, tuple([(lab, o, code[w]) for lab, o, w, _ in kids]))
+            code[v] = (1 if v == end else 0, tuple([(lab, o, code[w]) for lab, o, w, _ in kids]))
     return code
 
 
-def _numbered(cls, start: int, end: int, children):
-    """The tree below `start` renumbered in preorder over the (sorted) children."""
-    newid: Dict[int, int] = {}
+def _preorder(start: int, children) -> List[int]:
+    """The vertices below `start` in preorder over the (sorted) children."""
+    pre: List[int] = []
     stack = [start]
     while stack:
         v = stack.pop()
-        newid[v] = len(newid)
-        if children[v]:
-            stack.extend([k[2] for k in reversed(children[v])])
+        while True:  # down the first children, leaving the later ones on the stack
+            pre.append(v)
+            kids = children[v]
+            if not kids:
+                break
+            if len(kids) > 1:
+                stack.extend([k[2] for k in kids[:0:-1]])
+            v = kids[0][2]
+    return pre
+
+
+def _numbered(cls, pre: List[int], end: int, children, newid: List[int]):
+    """The tree on the preorder `pre` (its root first), renumbered in that order.
+
+    `newid` is scratch space indexed by old vertex; only the entries of
+    `pre` are written and read.
+    """
+    for k, v in enumerate(pre):
+        newid[v] = k
     edges = [
-        (nid, lab, newid[w]) if o == 1 else (newid[w], lab, nid)
-        for v, nid in newid.items()
+        (newid[v], lab, newid[w]) if o == 1 else (newid[w], lab, newid[v])
+        for v in pre
         for lab, o, w, _ in children[v]
     ]
     edges.sort()
-    return cls(len(newid), tuple(edges), newid[start], newid[end])
+    return cls(len(pre), tuple(edges), 0, newid[end])
 
 
 def canonical_encode(t: RawTree):
     """AHU-style code rooted at start; equal codes <=> isomorphic trees."""
-    _, children, order = _rooted_children(t)
+    _, _, children, order = _rooted(_adjacency(t), t.start)
     return _codes(order, children, t.end)[t.start]
 
 
 def canonicalize(t: RawTree):
     """Renumber vertices deterministically (preorder by sorted child codes)."""
-    _, children, order = _rooted_children(t)
+    _, _, children, order = _rooted(_adjacency(t), t.start)
     _codes(order, children, t.end)
-    return _numbered(type(t), t.start, t.end, children)
+    return _numbered(type(t), _preorder(t.start, children), t.end, children, [0] * t.nv)
 
 
 def _simulation(adj, children):
     """sim(v, w): the subtree below v maps into the tree with v -> w.
 
     The map keeps labels and orientations; children[v] is the subtree's
-    rooted structure and adj the whole tree.  Results are memoized; the
-    search keeps its own stack, so depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    rooted structure and adj the whole tree.  Results are memoized, and the
+    table of w's neighbours by (label, orient) is built the first time w is
+    a target.  The search keeps its own stack, so depth is bounded by
+    memory, not by the interpreter's recursion limit.
     """
     n = len(adj)
     # step[w][(label, orient)]: the neighbours of w along such an edge
-    step: List[Dict[Tuple[str, int], List[int]]] = [{} for _ in range(n)]
-    for v, nbrs in enumerate(adj):
-        for lab, o, w, _ in nbrs:
-            step[v].setdefault((lab, o), []).append(w)
+    step: List[Optional[Dict[Tuple[str, int], List[int]]]] = [None] * n
     memo: Dict[int, bool] = {}
 
     def sim(v0: int, w0: int) -> bool:
@@ -233,7 +268,15 @@ def _simulation(adj, children):
             while k < len(kids):
                 lab, o, c, _ = kids[k]
                 if cands is None:
-                    cands, j = step[w].get((lab, o), ()), 0
+                    table = step[w]
+                    if table is None:
+                        table = step[w] = {}
+                        for l2, o2, x, _ in adj[w]:
+                            if (l2, o2) in table:
+                                table[l2, o2].append(x)
+                            else:
+                                table[l2, o2] = [x]
+                    cands, j = table.get((lab, o), ()), 0
                 while j < len(cands):
                     got = True if not children[c] else memo.get(c * n + cands[j])
                     if got is None:
@@ -283,20 +326,24 @@ def prune(t: RawTree) -> XTree:
       when it is reached is never removable later, so no rescan is needed
       and the result is the unique pruned retract.
 
+    The tree is rooted once, in one BFS from the start that also records
+    each vertex's parent edge, so the trunk is read up the parent pointers
+    from the end.  When no live vertex keeps two children the result is a
+    path: its BFS order is its preorder, and no codes are built.
+
     The test suite checks the result against the restart-loop algorithm,
     which deletes one removable branch at a time, in a fixed and in a
     shuffled order.
     """
     adj = _adjacency(t)
-    parent, children, order = _rooted_children(t, adj)
-    _, _, trunk_verts = _trunk(t, parent, children)
+    parent, up, children, order = _rooted(adj, t.start)
     on_trunk = bytearray(t.nv)
-    for v in trunk_verts:
-        on_trunk[v] = 1
+    for k in _trunk(t, parent, up):
+        on_trunk[k[2]] = 1
     sim = None  # built at the first candidate that has a witness edge
     dead = bytearray(t.nv)
-    up: List[Optional[Tuple[str, int]]] = [None] * t.nv  # (label, orient) of the parent edge
     live: List[int] = []
+    branched = False  # some live vertex keeps two children
     for v in order:
         kids = children[v]
         if dead[v]:
@@ -304,25 +351,34 @@ def prune(t: RawTree) -> XTree:
                 dead[k[2]] = 1
             continue
         live.append(v)
+        if not kids:
+            continue
+        # the edge from v to its parent, seen from v, is (u[0], -u[1])
+        u = up[v]
         removed = False
         for lab, o, r, _ in kids:
-            up[r] = (lab, -o)
             if on_trunk[r]:
                 continue
             witnesses = [w for l2, o2, w, _ in kids if l2 == lab and o2 == o and w != r and not dead[w]]
-            if up[v] == (lab, o):
+            if u is not None and u[0] == lab and u[1] == -o:
                 witnesses.append(parent[v])
             if not witnesses:
                 continue
             if sim is None:
                 sim = _simulation(adj, children)
-            if any(sim(r, w) for w in witnesses):
-                dead[r] = 1
-                removed = True
+            for w in witnesses:
+                if sim(r, w):
+                    dead[r] = 1
+                    removed = True
+                    break
         if removed:
-            children[v] = [k for k in kids if not dead[k[2]]]
-    _codes(live, children, t.end)
-    return _numbered(XTree, t.start, t.end, children)
+            kids = children[v] = [k for k in kids if not dead[k[2]]]
+        if len(kids) > 1:
+            branched = True
+    if branched:
+        _codes(live, children, t.end)
+        live = _preorder(t.start, children)
+    return _numbered(XTree, live, t.end, children, [0] * t.nv)
 
 
 IDENTITY_TREE = XTree(1, (), 0, 0)
@@ -460,13 +516,16 @@ def trunk_factorization(t: XTree) -> Tuple[Tuple[XTree, ...], Word]:
       leaves them sorted.  So T's children give e_i the canonical
       numbering that ``prune`` would.
     """
-    parent, children, order = _rooted_children(t)
-    word, _, trunk_verts = _trunk(t, parent, children)
+    parent, up, children, order = _rooted(_adjacency(t), t.start)
+    path = _trunk(t, parent, up)
+    word = tuple([k[0] for k in path])
+    trunk_verts = (t.start,) + tuple([k[2] for k in path])
     _codes(order, children, t.end)
+    newid = [0] * t.nv
     idems: List[XTree] = []
     for v, nxt in zip(trunk_verts, trunk_verts[1:] + (None,)):
         children[v] = [k for k in children[v] if k[2] != nxt]
-        idems.append(_numbered(XTree, v, v, children))
+        idems.append(_numbered(XTree, _preorder(v, children), v, children, newid))
     return tuple(idems), word
 
 

@@ -21,16 +21,8 @@ from typing import List, Sequence, Tuple
 from ehresmann import xtree
 from ehresmann.normalform import BXLetter, NormalForm, eval_to_tree, is_word_letter, merge
 from ehresmann.words import Word
-from ehresmann.xtree import (
-    RawTree,
-    XTree,
-    _rooted_children,
-    is_idempotent,
-    prune,
-    tree_multiply,
-    tree_plus,
-    trunk_path,
-)
+from ehresmann.xtree import RawTree, XTree, is_idempotent, prune, tree_multiply, tree_plus
+from prune_oracle import _rooted_children, trunk_path
 
 
 def form_letters(nf: NormalForm) -> Tuple[BXLetter, ...]:

@@ -7,6 +7,11 @@ the definition: a branch goes when it admits a label- and direction-
 preserving simulation into the rest of the tree fixing its attachment
 vertex.  ``canonicalize`` is the recursive AHU renumbering it was paired
 with.  ``ehresmann.xtree.prune`` must agree with it on every input.
+
+The oracle roots trees with its own helpers: ``_rooted_children`` is a
+plain BFS from the start, and ``trunk_path`` finds each trunk edge by
+scanning the parent's children.  ``ehresmann.xtree.trunk_path`` must agree
+with it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,59 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ehresmann.xtree import RawTree, XTree, _adjacency, _rooted_children, trunk_path
+from ehresmann.words import Word
+from ehresmann.xtree import RawTree, XTree
+
+
+def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
+    """adj[v] = list of (label, orient, other, edge_index); orient=+1 out of v."""
+    adj: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
+    for i, (s, lab, d) in enumerate(t.edges):
+        adj[s].append((lab, 1, d, i))
+        adj[d].append((lab, -1, s, i))
+    return adj
+
+
+def _rooted_children(t: RawTree, adj=None):
+    """Root at start: (parent array, children[v] lists like adjacency, BFS order)."""
+    if adj is None:
+        adj = _adjacency(t)
+    parent: List[Optional[int]] = [None] * t.nv
+    children: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
+    order = [t.start]
+    seen = [False] * t.nv
+    seen[t.start] = True
+    for v in order:
+        for lab, o, w, i in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                children[v].append((lab, o, w, i))
+                order.append(w)
+    return parent, children, order
+
+
+def trunk_path(t: RawTree) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
+    """The directed start->end path: (word, edge indices, vertex sequence)."""
+    parent, children, _ = _rooted_children(t)
+    word: List[str] = []
+    eidx: List[int] = []
+    path = [t.end]
+    v = t.end
+    while v != t.start:
+        p = parent[v]
+        if p is None:
+            raise ValueError("end not connected to start")
+        for lab, o, w, i in children[p]:
+            if w == v:
+                break
+        if o != 1:
+            raise ValueError("no directed start->end path (trunk missing)")
+        word.append(lab)
+        eidx.append(i)
+        path.append(p)
+        v = p
+    return tuple(reversed(word)), tuple(reversed(eidx)), tuple(reversed(path))
 
 
 def canonicalize(t: RawTree) -> RawTree:

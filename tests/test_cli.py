@@ -3,7 +3,11 @@
 import functools
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,10 @@ def test_check_help_lists_exactly_its_parameters(capsys, name):
     code, out, _ = usage_exit(capsys, "check", name, "--help")
     assert code == 0
     assert set(re.findall(r"--([a-z_]+)", out)) - {"help"} == set(params(name))
+    # the check's docstring is its description; argparse re-wraps it
+    doc = inspect.getdoc(cli.CHECKS[name])
+    assert doc
+    assert " ".join(doc.split()) in " ".join(out.split())
 
 
 @pytest.mark.parametrize("name", cli.CHECKS)
@@ -346,3 +354,21 @@ def test_stack_and_memory_exhaustion_exit_1(capsys, monkeypatch):
         code, out, err = run(capsys, "eval", "a", "--model", "fad")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "too deep" in err
+
+
+def test_sz_text_output_does_not_depend_on_the_hash_seed():
+    # a set of words prints sorted, so string hashing cannot reorder it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehresmann.cli", "eval", "x y^-1 x", "--model", "sz",
+             "--format", "text"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("({")

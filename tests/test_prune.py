@@ -5,6 +5,9 @@ from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+import normalform_oracle
 import prune_oracle
 from random_trees import raw_trees
 from ehresmann.xtree import (
@@ -13,13 +16,19 @@ from ehresmann.xtree import (
     XTree,
     canonicalize,
     depth_directed,
+    directed_reachable,
     enumerate_trees,
+    letter_tree,
     prune,
     raw_plus,
     raw_product,
     raw_star,
     tree_multiply,
+    tree_plus,
     tree_product,
+    tree_star,
+    trunk_factorization,
+    trunk_path,
     trunk_word,
     word_tree,
 )
@@ -96,3 +105,79 @@ def test_prune_of_a_deep_branch():
     assert type(got) is XTree
     assert got == canonicalize(XTree(3004, tuple(kept), 0, 2))
     assert trunk_word(got) == ("a", "b")
+
+
+def _scrambled(t, rng):
+    """t with its vertices renumbered at random."""
+    perm = list(range(t.nv))
+    rng.shuffle(perm)
+    edges = tuple((perm[s], lab, perm[d]) for s, lab, d in t.edges)
+    return RawTree(t.nv, edges, perm[t.start], perm[t.end])
+
+
+def _assert_prune_matches_the_oracle(raw):
+    got = prune(raw)
+    assert got == prune_oracle.prune(raw), raw
+    # the numbering the codes give, also where prune skipped them
+    assert canonicalize(got) == got, raw
+    return got
+
+
+def test_word_products_with_one_short_branch():
+    # one branch at the start, at the glue vertex or at the far end of u v:
+    # a copy of the trunk edge beside it folds away and leaves a path, so
+    # prune numbers it without codes; a c-edge stays, and the result branches
+    rng = random.Random(5)
+    c_plus, c_star = tree_plus(letter_tree("c")), tree_star(letter_tree("c"))
+    for _ in range(40):
+        u = tuple(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        v = tuple(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        U, V = word_tree(u), word_tree(v)
+        for factors, folds in (
+            ((tree_plus(letter_tree(u[0])), U, V), True),  # x+ x = x at the start
+            ((U, tree_plus(letter_tree(v[0])), V), True),  # at the glue vertex
+            ((U, tree_star(letter_tree(u[-1])), V), True),  # x x* = x there too
+            ((U, V, tree_star(letter_tree(v[-1]))), True),  # at the far end
+            ((c_plus, U, V), False),
+            ((U, c_plus, V), False),
+            ((U, V, c_star), False),
+        ):
+            raw = raw_product(*factors)
+            got = _assert_prune_matches_the_oracle(raw)
+            assert (got == word_tree(u + v)) is folds, factors
+            assert len(got.edges) == len(u) + len(v) + (not folds)
+
+
+def test_paths_rooted_at_a_leaf_or_inside_and_scrambled():
+    # a path pruned from either leaf (each vertex keeps at most one child)
+    # or from an interior vertex (the start keeps two), under the input
+    # numbering and under a scrambled one, where BFS order is not vertex order
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        edges = tuple(
+            (i, lab, i + 1) if rng.random() < 0.5 else (i + 1, lab, i)
+            for i, lab in enumerate(rng.choice("ab") for _ in range(n))
+        )
+        for start in (0, n, rng.randint(1, n)):
+            pointed = RawTree(n + 1, edges, start, start)
+            for end in sorted(directed_reachable(pointed)):
+                raw = RawTree(n + 1, edges, start, end)
+                got = _assert_prune_matches_the_oracle(raw)
+                assert _assert_prune_matches_the_oracle(_scrambled(raw, rng)) == got
+
+
+def test_trunk_path_and_factorization_match_their_oracles():
+    rng = random.Random(3)
+    trees = enumerate_trees("ab", 3)
+    assert len(trees) == 259
+    for t in trees:
+        for raw in (t, _scrambled(t, rng)):
+            assert trunk_path(raw) == prune_oracle.trunk_path(raw), raw
+        assert trunk_factorization(t) == normalform_oracle.trunk_factorization(t), t
+    backward = RawTree(2, ((1, "a", 0),), 0, 1)
+    apart = RawTree(3, ((0, "a", 1),), 0, 2)
+    for raw, message in ((backward, "trunk missing"), (apart, "not connected")):
+        for fn in (trunk_path, prune_oracle.trunk_path):
+            with pytest.raises(ValueError, match=message):
+                fn(raw)
