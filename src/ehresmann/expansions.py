@@ -90,14 +90,6 @@ def mm_star(p: MMElement) -> MMElement:
     return mm_plus(mm_inverse(p))
 
 
-def mm_from_word(base: BaseMonoid, g: GroupWord) -> MMElement:
-    acc = mm_identity(base)
-    for name, sign in g:
-        gen = mm_generator(base, name)
-        acc = mm_multiply(acc, gen if sign == 1 else mm_inverse(gen))
-    return acc
-
-
 def mm_to_munn(p: MMElement) -> MunnElement:
     """Over the free group the vertex set is prefix-closed: forget edges."""
     return MunnElement(p.graph.vertices, p.point)

@@ -7,10 +7,10 @@ parsed terms.  Its element functions are ``<prefix>_multiply``,
 ``<prefix>_plus``, ``<prefix>_star`` and ``<prefix>_inverse`` of one
 module, and ``<prefix>_product`` where the module has one, looked up on
 the module at every call, so rebinding a module attribute (as a tracer
-does) reaches them.  A model whose module has ``raw_product`` (the trees)
-evaluates a whole term as one raw tree, built with ``raw_product``,
-``raw_plus`` and ``raw_star``, and reduces it once at the end with the
-module's ``prune``.
+does) reaches them.  The tree models (module ``xtree``) evaluate a whole
+term as one raw tree: one walk of the parsed term appends its edges to one
+list, making each vertex once, and the module's ``prune`` reduces that
+tree once at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from . import psdp, scheiblich as sch, xtree
 
 _SYMBOL = {"plus": "^+", "star": "^*", "inverse": "^-1"}
 _NODE_OP = {"plus": "plus", "star": "star", "inv": "inverse"}  # parsed node -> operation
+
+
+def _missing(op: str, model: str) -> ValueError:
+    return ValueError(f"{_SYMBOL[op]} is not defined in model {model}")
 
 
 def _unchanged(a):
@@ -60,19 +64,19 @@ class Structure:
             acc = self.mul(acc, b)
         return acc
 
-    def _op(self, op: str, a, prefix: str):
+    def _op(self, op: str, a):
         if op not in self.unary:
-            raise ValueError(f"{_SYMBOL[op]} is not defined in model {self.name}")
-        return getattr(self.module, f"{prefix}_{op}")(a)
+            raise _missing(op, self.name)
+        return getattr(self.module, f"{self.prefix}_{op}")(a)
 
     def plus(self, a):
-        return self._op("plus", a, self.prefix)
+        return self._op("plus", a)
 
     def star(self, a):
-        return self._op("star", a, self.prefix)
+        return self._op("star", a)
 
     def inv(self, a):
-        return self._op("inverse", a, self.prefix)
+        return self._op("inverse", a)
 
     def power(self, a, n: int):
         if n < 0:
@@ -103,29 +107,15 @@ class Structure:
         ("mul", f1, ..., fn) evaluates its n factors, then makes one
         ``product`` of them.  That equals the left fold (f1 f2) f3 ...
         because the product is associative.  The fold, which reduces at
-        every node, is kept in the tests as the oracle.
-
-        A model whose module has ``raw_product`` (the trees) makes no element
-        until the end: an atom is its letter tree, 1 the one-vertex tree, a
-        product node ``raw_product`` of its factors, and ``^+``/``^*``
-        re-point the raw tree (``raw_plus``/``raw_star``).  The whole term is
-        one raw tree, pruned once.  That equals reducing at every node, by
-        induction on the term:
-
-        * ``prune(T)`` is a retraction of T that fixes the trunk, so it
-          fixes start and end.  It is therefore also a retraction of
-          ``raw_plus(T)`` and ``raw_star(T)``, and it extends by the
-          identity over the factors glued beside T in a product.
-        * So the tree built from pruned subterms is a retract of the tree
-          built from raw ones, and a tree and its retracts have one pruned
-          retract, unique up to isomorphism (``xtree.tree_product`` makes
-          the same argument for one product node).
+        every node, is kept in the tests as the oracle.  A tree model makes
+        the whole term as one raw tree instead (``_raw_tree``) and prunes it
+        once.
 
         Errors are raised where the reducing evaluation raises them: an
         operation the model lacks fails when it is reached, on its
         evaluated operand."""
-        raw = hasattr(self.module, "raw_product")
-        prefix = "raw" if raw else self.prefix
+        if self.module is xtree:
+            return self.module.prune(self._raw_tree(node))
         values: List[Any] = []
         work: List[Any] = [node]
         while work:
@@ -133,10 +123,9 @@ class Structure:
             if isinstance(item, int):  # the product of the values last pushed
                 factors = values[-item:]
                 del values[-item:]
-                values.append(self.module.raw_product(*factors) if raw
-                              else self.product(factors))
+                values.append(self.product(factors))
             elif isinstance(item, str):  # a unary operation on the value last pushed
-                values.append(self._op(item, values.pop(), prefix))
+                values.append(self._op(item, values.pop()))
             elif item[0] == "one":
                 values.append(self.one)
             elif item[0] == "atom":
@@ -146,7 +135,75 @@ class Structure:
                 work.extend(reversed(item[1:]))
             else:
                 work += [_NODE_OP[item[0]], item[1]]
-        return self.module.prune(values.pop()) if raw else values.pop()
+        return values.pop()
+
+    def _raw_tree(self, term) -> xtree.RawTree:
+        """The term as one unpruned tree, built in one walk of the parse tree.
+
+        A running vertex ``cur`` is where the next factor is glued.  A
+        subterm is built forward (its start is ``cur``, which moves to its
+        end) or backward (its end is ``cur``, which moves to its start).  An
+        atom appends one edge and one vertex; ``1`` appends nothing; a
+        product takes its factors left to right forward, right to left
+        backward.  ``T^+`` (start = end = start(T)) builds T forward and
+        ``T^*`` (start = end = end(T)) builds T backward, each from ``cur``,
+        which is then restored.  So this is the tree that ``xtree``'s
+        ``raw_product``, ``raw_plus`` and ``raw_star`` glue from letter
+        trees, up to a numbering that ``prune`` makes canonical.
+
+        Pruning it once equals reducing at every node, by induction on the
+        term: ``prune(T)`` is a retraction of T fixing the trunk, hence start
+        and end, so it is also one of T re-pointed to either, and it extends
+        by the identity over the factors glued beside T.  The tree built
+        from pruned subterms is thus a retract of this one, and a tree and
+        its retracts have one pruned retract up to isomorphism.
+
+        The walk meets the nodes out of evaluation order, so a missing
+        operation raises the error of the first one in that order.
+        """
+        # the model's own ^+ / ^*: whether the group builds its operand forward
+        forward = {op: op == "plus" for op in ("plus", "star") if op in self.unary}
+        edges: List[xtree.Edge] = []
+        nv = cur = 0
+        work: List[Any] = [(term, True)]
+        while work:
+            item = work.pop()
+            if item.__class__ is int:  # a ^+ or ^* group is done: back to its vertex
+                cur = item
+                continue
+            node, fwd = item
+            kind = node[0]
+            if kind == "atom":
+                nv += 1
+                edges.append((cur, node[1], nv) if fwd else (nv, node[1], cur))
+                cur = nv
+            elif kind == "mul":
+                if fwd:
+                    work.extend([(f, True) for f in node[:0:-1]])
+                else:
+                    work.extend([(f, False) for f in node[1:]])
+            elif kind in forward:
+                work.append(cur)
+                work.append((node[1], forward[kind]))
+            elif kind != "one":
+                raise self._first_missing(term)
+        return xtree.RawTree(nv + 1, tuple(edges), 0, cur)
+
+    def _first_missing(self, node) -> ValueError:
+        """The error for the first operation in `node` that the model lacks,
+        in evaluation order: operands before their operation, factors left
+        to right."""
+        work: List[Any] = [node]
+        while work:
+            item = work.pop()
+            if isinstance(item, str):
+                if item not in self.unary:
+                    return _missing(item, self.name)
+            elif item[0] == "mul":
+                work.extend(reversed(item[1:]))
+            elif item[0] in _NODE_OP:
+                work += [_NODE_OP[item[0]], item[1]]
+        raise AssertionError(f"every operation in {node!r} is defined")
 
 
 def semidirect(base: psdp.BaseMonoid, name: str = "sdp", atom=None) -> Structure:

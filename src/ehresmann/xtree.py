@@ -14,7 +14,9 @@ suffices); the restart-loop definition is kept in the tests as an oracle
 rooted at its start roots it in one BFS (``_rooted``), which records each
 vertex's parent edge, so the trunk is read up the parent pointers from the
 end.  ``prune`` builds codes only when its result branches: a pruned path
-is numbered in BFS order, which is then its preorder.
+is numbered in BFS order, which is then its preorder, and an input that
+is one directed start->end path is not rooted at all.  An input that is
+not a tree raises ValueError.
 ``trunk_factorization`` cuts a pruned tree into the idempotent bundles of
 branches at its trunk vertices without pruning again; the factorization
 that prunes every bundle is kept in ``tests/normalform_oracle.py``.
@@ -24,10 +26,11 @@ Pruned trees form a monoid: ``S T`` glues end(S) to start(T) and prunes;
 of n factors glues all of them and prunes once (``tree_product``): the
 pruned retract of a tree is unique, so this equals any bracketing of
 two-factor products.  The same holds for a whole term: it is glued and
-re-pointed raw (``raw_product``, ``raw_plus``, ``raw_star``) and pruned
-once, which ``structures.Structure.eval`` does and argues.  Pruned trees
-in which every vertex is reachable from the start by a directed path are
-the left-Ehresmann trees, closed under product and ``+``.
+re-pointed raw and pruned once.  ``structures.Structure.eval`` builds that
+raw tree as one edge list and argues that it is the one ``raw_product``,
+``raw_plus`` and ``raw_star`` would glue.  Pruned trees in which every
+vertex is reachable from the start by a directed path are the
+left-Ehresmann trees, closed under product and ``+``.
 
 Equality of pruned trees is isomorphism of bi-pointed labeled trees; both
 tree classes canonicalize vertex numbering from an AHU-style encoding
@@ -96,7 +99,15 @@ class XTree(RawTree):
 
 
 def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
-    """adj[v] = list of (label, orient, other, edge_index); orient=+1 out of v."""
+    """adj[v] = list of (label, orient, other, edge_index); orient=+1 out of v.
+
+    Raises ValueError unless there are nv - 1 edges (``_rooted`` checks
+    that they connect every vertex, so that the input is a tree).
+    """
+    e = len(t.edges)
+    if e != t.nv - 1:
+        problem = "not connected" if e < t.nv - 1 else "has a cycle"
+        raise ValueError(f"not a tree ({problem}): {e} edges on {t.nv} vertices")
     adj: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
     for i, (s, lab, d) in enumerate(t.edges):
         adj[s].append((lab, 1, d, i))
@@ -109,8 +120,9 @@ def _rooted(adj, start: int):
 
     children[v] lists v's entries (label, orient, child, edge index) of adj
     that lead away from the start, and up[v] is v's own entry in the list of
-    its parent parent[v]; at the start and at unreached vertices up[v] is
-    None and parent[v] is -1.  order is the BFS order, parents first.
+    its parent parent[v]; at the start up[v] is None and parent[v] is -1.
+    order is the BFS order, parents first.  Raises ValueError when some
+    vertex is not reached.
     """
     n = len(adj)
     parent = [-1] * n
@@ -129,6 +141,8 @@ def _rooted(adj, start: int):
                 up[w] = k
                 kids.append(k)
                 order.append(w)
+    if len(order) != n:
+        raise ValueError(f"not a tree (not connected): {n - len(order)} vertices not reached")
     return parent, up, children, order
 
 
@@ -139,8 +153,6 @@ def _trunk(t: RawTree, parent, up) -> List[Tuple[str, int, int, int]]:
     v = t.end
     while v != t.start:
         k = up[v]
-        if k is None:
-            raise ValueError("end not connected to start")
         if k[1] != 1:
             raise ValueError("no directed start->end path (trunk missing)")
         path.append(k)
@@ -300,8 +312,43 @@ def _simulation(adj, children):
     return sim
 
 
+def _path_word(t: RawTree) -> Optional[Word]:
+    """The word along `t` when `t` is one directed start->end path, else None.
+
+    Each vertex must have at most one out-edge and one in-edge, the start
+    none, and the walk from the start must reach the end in nv - 1 steps.
+    A vertex is entered only along its in-edge, so the walk meets nv
+    distinct vertices and uses every edge; a cycle or a second component
+    fails it.  A path from the start to itself has no edge.
+    """
+    nv = t.nv
+    if len(t.edges) != nv - 1 or (t.start == t.end and nv > 1):
+        return None
+    out: List[Optional[Edge]] = [None] * nv
+    entered = bytearray(nv)
+    for e in t.edges:
+        if out[e[0]] is not None or entered[e[2]]:
+            return None
+        out[e[0]] = e
+        entered[e[2]] = 1
+    if entered[t.start]:
+        return None
+    word = []
+    v = t.start
+    for _ in range(nv - 1):
+        e = out[v]
+        if e is None:
+            return None
+        word.append(e[1])
+        v = e[2]
+    return tuple(word) if v == t.end else None
+
+
 def prune(t: RawTree) -> XTree:
     """Delete every removable branch in one top-down pass, then canonicalize.
+
+    A directed start->end path (``_path_word``) is returned as its word
+    tree, its canonical numbering, since it has no branch to delete.
 
     Rooted at the start, the branch behind a non-trunk edge (attach a, root
     r) is deleted iff another live edge at a with the same label and
@@ -333,8 +380,11 @@ def prune(t: RawTree) -> XTree:
 
     The test suite checks the result against the restart-loop algorithm,
     which deletes one removable branch at a time, in a fixed and in a
-    shuffled order.
+    shuffled order.  An input that is not a tree raises ValueError.
     """
+    word = _path_word(t)
+    if word is not None:
+        return word_tree(word)
     adj = _adjacency(t)
     parent, up, children, order = _rooted(adj, t.start)
     on_trunk = bytearray(t.nv)

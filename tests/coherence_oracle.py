@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ehresmann import coherence as co
-from ehresmann import expansions, normalform, xtree
+import expansions_oracle
+from ehresmann import normalform, xtree
 from ehresmann.psdp import PSetElement
 from ehresmann.xtree import XTree, tree_multiply
 
@@ -89,7 +90,7 @@ def _e_freemonoid(ctx, i: int) -> PSetElement:
 
 def _e_mm(ctx, i: int):
     """(P_{y x^i}, 1)."""
-    return ctx.plus(expansions.mm_from_word(ctx.one.graph.base, (("y", 1),) + (("x", 1),) * i))
+    return ctx.plus(expansions_oracle.mm_from_word(ctx.one.graph.base, (("y", 1),) + (("x", 1),) * i))
 
 
 def _e_fad(ctx, i: int) -> XTree:

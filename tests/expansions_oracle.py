@@ -10,12 +10,23 @@ validate what they return.
 every word h of the set and every letter x that occurs in the set, whether
 h x is in the set (an edge on any other letter has an end outside the set).  ``expansions.munn_to_mm`` reads one
 edge off the last letter of each word and must agree with it.
+
+``mm_from_word`` is the element of M(G, X) that a group word spells,
+multiplied out one generator or inverse generator at a time.
 """
 
 from __future__ import annotations
 
 from ehresmann import words
-from ehresmann.expansions import CayleySubgraph, MMElement, _step
+from ehresmann.expansions import (
+    CayleySubgraph,
+    MMElement,
+    _step,
+    mm_generator,
+    mm_identity,
+    mm_inverse,
+    mm_multiply,
+)
 from ehresmann.scheiblich import MunnElement
 
 
@@ -49,3 +60,11 @@ def munn_to_mm(base, p: MunnElement) -> MMElement:
         (h, name) for h in p.aset for name in names if words.gmul(h, ((name, 1),)) in p.aset
     )
     return MMElement(CayleySubgraph(base, p.aset, edges), p.point)
+
+
+def mm_from_word(base, g) -> MMElement:
+    acc = mm_identity(base)
+    for name, sign in g:
+        gen = mm_generator(base, name)
+        acc = mm_multiply(acc, gen if sign == 1 else mm_inverse(gen))
+    return acc

@@ -10,10 +10,12 @@ import pytest
 import normalform_oracle
 import prune_oracle
 from random_trees import raw_trees
+from ehresmann import xtree
 from ehresmann.xtree import (
     IDENTITY_TREE,
     RawTree,
     XTree,
+    canonical_encode,
     canonicalize,
     depth_directed,
     directed_reachable,
@@ -165,6 +167,60 @@ def test_paths_rooted_at_a_leaf_or_inside_and_scrambled():
                 raw = RawTree(n + 1, edges, start, end)
                 got = _assert_prune_matches_the_oracle(raw)
                 assert _assert_prune_matches_the_oracle(_scrambled(raw, rng)) == got
+
+
+def _prune_and_whether_rooted(raw, monkeypatch):
+    """prune(raw), and whether it built the adjacency to root the tree."""
+    calls = []
+    adjacency = xtree._adjacency
+    monkeypatch.setattr(xtree, "_adjacency", lambda t: calls.append(t) or adjacency(t))
+    got = prune(raw)
+    monkeypatch.setattr(xtree, "_adjacency", adjacency)
+    assert got == prune_oracle.prune(raw), raw
+    return got, bool(calls)
+
+
+def test_a_directed_path_is_its_word_tree_without_rooting(monkeypatch):
+    rng = random.Random(12)
+    assert _prune_and_whether_rooted(RawTree(1, (), 0, 0), monkeypatch) == (IDENTITY_TREE, False)
+    for _ in range(40):
+        w = tuple(rng.choice("ab") for _ in range(rng.randint(1, 12)))
+        n = len(w)
+        path = _scrambled(word_tree(w), rng)
+        assert _prune_and_whether_rooted(path, monkeypatch) == (word_tree(w), False)
+        edges = word_tree(w).edges
+        # a start or an end inside the path, or one edge reversed: rooted
+        inside = rng.randint(1, n)
+        for raw in (RawTree(n + 1, edges, inside, n), RawTree(n + 1, edges, 0, inside - 1)):
+            got, rooted = _prune_and_whether_rooted(_scrambled(raw, rng), monkeypatch)
+            assert rooted and got.nv == n + 1, raw
+        i = rng.randrange(n)
+        flipped = edges[:i] + ((i + 1, w[i], i),) + edges[i + 1:]
+        for start, end in ((0, 0), (i + 1, n), (n, n)):
+            got, rooted = _prune_and_whether_rooted(RawTree(n + 1, flipped, start, end), monkeypatch)
+            assert rooted, flipped
+
+
+# a directed path 0-a->1-b->2 beside the directed cycle 3-a->4-b->5-a->3: five
+# edges on six vertices, each vertex with one edge in and one out at most
+PATH_AND_CYCLE = ((0, "a", 1), (1, "b", 2), (3, "a", 4), (4, "b", 5), (5, "a", 3))
+# the start lies on the cycle 0-a->1-b->0, beside 2-a->3: a walk of nv - 1 = 3
+# steps from the start goes round the cycle and stops at the end, 1
+CYCLE_AT_THE_START = ((0, "a", 1), (1, "b", 0), (2, "a", 3))
+NOT_TREES = (
+    RawTree(2, ((0, "a", 1), (0, "b", 1)), 0, 1),
+    RawTree(3, ((0, "a", 1), (1, "b", 2), (2, "c", 0)), 0, 1),
+    RawTree(6, PATH_AND_CYCLE, 0, 2),
+    RawTree(6, PATH_AND_CYCLE, 3, 3),
+    RawTree(4, CYCLE_AT_THE_START, 0, 1),
+)
+
+
+@pytest.mark.parametrize("raw", NOT_TREES, ids=repr)
+def test_a_graph_that_is_not_a_tree_is_refused(raw):
+    for fn in (prune, trunk_path, trunk_factorization, canonical_encode, canonicalize):
+        with pytest.raises(ValueError, match="not a tree"):
+            fn(raw)
 
 
 def test_trunk_path_and_factorization_match_their_oracles():

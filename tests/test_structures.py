@@ -2,6 +2,7 @@
 evaluation against the left-fold oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -86,6 +87,51 @@ def test_eval_matches_the_left_fold(name):
     for _ in range(count):
         node = random_node(rng, letters, unary, depth)
         assert s.eval(node) == eval_oracle.fold_eval(s, node), (name, node)
+
+
+def _value_or_error(evaluate, node):
+    try:
+        return evaluate(node)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("name", ("fad", "flad"))
+def test_eval_and_the_fold_agree_on_terms_with_every_operation(name):
+    # the tree walk builds a ^* group and a backward product right to left,
+    # yet must refuse the operation the fold meets first (operands before
+    # their operation, factors left to right)
+    s = get_structure(name)
+    rng = random.Random(f"every-op-{name}")
+    nodes = [cli.parse_term(t) for t in ("(a^* b^-1)^*", "(b^-1 a^*)^+", "(a b)^* a^-1")]
+    nodes += [random_node(rng, "ab", ["plus", "star", "inv"], 4) for _ in range(300)]
+    errors = 0
+    for node in nodes:
+        want = _value_or_error(lambda n: eval_oracle.fold_eval(s, n), node)
+        assert _value_or_error(s.eval, node) == want, (name, node)
+        errors += isinstance(want, str)
+    assert 0 < errors < len(nodes)
+
+
+def test_the_first_missing_operation_is_refused():
+    flad, fad = get_structure("flad"), get_structure("fad")
+    for s, term, symbol in ((flad, "(a^* b^-1)^*", "^*"), (flad, "(b^-1 a^*)^+", "^-1"),
+                            (fad, "(a b)^* a^-1", "^-1"), (flad, "(a (b^*)^-1)^+ b^-1", "^*")):
+        with pytest.raises(ValueError, match=re.escape(f"{symbol} is not defined in model {s.name}")):
+            s.eval(cli.parse_term(term))
+
+
+@pytest.mark.parametrize("name", ("fad", "flad"))
+def test_eval_of_the_walks_special_cases_matches_the_fold(name):
+    s = get_structure(name)
+    rng = random.Random(4)
+    word = " ".join(rng.choice("ab") for _ in range(3000))
+    for term in ("1", "1 1", "(1)^*", "((a b^*)^+ a)^*", "(a^+)^*", "a (b^+ a)^* 1",
+                 "b a^+ 1", "(a 1 b)^+ 1 (1 a)^*", word):
+        node = cli.parse_term(term)
+        want = _value_or_error(lambda n: eval_oracle.fold_eval(s, n), node)
+        assert _value_or_error(s.eval, node) == want, (name, term[:40])
+    assert s.eval(cli.parse_term(word)) == xtree.word_tree(tuple(word.split()))
 
 
 def test_eval_and_the_fold_refuse_star_in_flad():
