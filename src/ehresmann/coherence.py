@@ -184,36 +184,37 @@ def check_bgr_config(g, h, e, N: int, ctx: Structure) -> ConfigReport:
 def check_ghe_quotient_conditions(N: int, ctx: Structure) -> ConfigReport:
     """The five non-relation families for the subgroup <1> of Z in a
     quotient of S(Z); equality is equality in the quotient (implemented for
-    Q_n, the structure qn:<n>)."""
+    Q_n, the structure qn:<n>).  Each one-point element is made once."""
     failures: List[Tuple[str, Any]] = []
 
     def el(exps) -> QnElement:
         return QnElement(ctx.one.base, ctx.one.n, frozenset(exps), 0)
 
+    one = {m: el([m]) for m in range(-N, N + 1)}
     for m in range(-N, N + 1):
         for n in range(-N, N + 1):
-            if m != n and el([m]) == el([n]):
+            if m != n and one[m] == one[n]:
                 failures.append(("1", {"m": m, "n": n}))
     for m in range(1, N + 1):
         for n in range(1, N + 1):
             pair = el([m, -n])
-            if pair == el([m]) or pair == el([-n]):
+            if pair == one[m] or pair == one[-n]:
                 failures.append(("2", {"m": m, "n": n}))
     for m in range(0, N + 1):
         for n in range(0, N + 1):
             if m == n:
                 continue
-            if el([m, n]) == el([m]):
+            if el([m, n]) == one[m]:
                 failures.append(("3+", {"m": m, "n": n}))
-            if el([-m, -n]) == el([-m]):
+            if el([-m, -n]) == one[-m]:
                 failures.append(("3-", {"m": m, "n": n}))
     for n in range(1, N + 1):
         zero_n = el([0, n])
         for k in range(1, n):
-            if zero_n == el([k]) or zero_n == el([0, k, n]):
+            if zero_n == one[k] or zero_n == el([0, k, n]):
                 failures.append(("4", {"k": k, "n": n}))
         for k in range(1, n + 1):
-            if zero_n == el([-k]) or zero_n == el([-k, 0, n]):
+            if zero_n == one[-k] or zero_n == el([-k, 0, n]):
                 failures.append(("5", {"k": k, "n": n}))
     return _finish(N, failures)
 

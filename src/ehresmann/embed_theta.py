@@ -13,12 +13,14 @@ left-splitting positions p, trunk), and is a morphism for the action
 product (c d) theta_1 = c theta_1 * (c theta_2 . d theta_1).  Scope: the
 morphism law on the free product of C-words; no map on FLAd or FAd trees is
 checked.
+The private products take the tree multiplication as an argument, so the
+law check makes each seam product once for both sides of the law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import words
 from .normalform import BXLetter, is_word_letter, merge
@@ -45,7 +47,20 @@ class CXWord:
 
 
 def cx_multiply(c: CXWord, d: CXWord) -> CXWord:
-    return CXWord.make(list(c.parts) + list(d.parts))
+    """c d for normalized c and d (made by ``CXWord.make``): their parts
+    alternate and none is trivial, so only c's last and d's first part can
+    merge, with at most one ``tree_multiply``."""
+    return _cx_multiply(c, d, tree_multiply)
+
+
+def _cx_multiply(c: CXWord, d: CXWord, mul: Callable[[XTree, XTree], XTree]) -> CXWord:
+    if not (c.parts and d.parts):
+        return c if c.parts else d
+    left, right = c.parts[-1], d.parts[0]
+    if is_word_letter(left) != is_word_letter(right):
+        return CXWord(c.parts + d.parts)
+    seam = left + right if is_word_letter(left) else mul(left, right)
+    return CXWord(c.parts[:-1] + (seam,) + d.parts[1:])
 
 
 def splitting_positions(c: CXWord) -> List[Tuple[Word, XTree]]:
@@ -86,9 +101,13 @@ ZX_ONE = ZXElement(frozenset(), ())
 
 
 def zx_multiply(a: ZXElement, b: ZXElement) -> ZXElement:
+    return _zx_multiply(a, b, tree_multiply)
+
+
+def _zx_multiply(a: ZXElement, b: ZXElement, mul: Callable[[XTree, XTree], XTree]) -> ZXElement:
     es = a.es_map()
     for h, f in b.es:
-        es[h] = tree_multiply(es[h], f) if h in es else f
+        es[h] = mul(es[h], f) if h in es else f
     return ZXElement.make(a.ys | b.ys, es)
 
 
@@ -116,14 +135,15 @@ class ThetaImage:
 
 
 def theta(c: CXWord) -> ThetaImage:
-    """theta(c) = (tau(trunk, 1) * prod e_{f,p} over splitting positions, trunk)."""
+    """theta(c) = (tau(trunk, 1) * prod e_{f,p} over splitting positions, trunk),
+    made as one element.  A normalized c has its idempotents at distinct
+    trunk prefixes, so two e-generators meet only for an unnormalized c."""
     t = c.trunk()
-    acc = tau(t, ())
     es: Dict[GroupWord, XTree] = {}
     for prefix, f in splitting_positions(c):
         h = words.word_to_group(prefix)
         es[h] = tree_multiply(es[h], f) if h in es else f
-    return ThetaImage(zx_multiply(acc, ZXElement.make(set(), es)), t)
+    return ThetaImage(ZXElement.make(tau(t, ()).ys, es), t)
 
 
 def theta_morphism_check(
@@ -134,20 +154,28 @@ def theta_morphism_check(
 
     theta is computed once for each distinct C-word of cs and ds, and once
     for each product c d; d theta is translated once for each distinct
-    trunk of cs."""
+    trunk of cs.  Each distinct seam product (c's last idempotent times d's
+    first) is made once per call and serves both sides of the law."""
     images = {c: theta(c) for c in dict.fromkeys((*cs, *ds))}
     shifted: Dict[Tuple[Word, CXWord], ZXElement] = {}
+    seams: Dict[Tuple[XTree, XTree], XTree] = {}
+
+    def seam(e: XTree, f: XTree) -> XTree:
+        if (e, f) not in seams:
+            seams[e, f] = tree_multiply(e, f)
+        return seams[e, f]
+
     failures: List[Tuple[CXWord, CXWord]] = []
     for c in cs:
         tc = images[c]
         g = words.word_to_group(tc.trunk)
         for d in ds:
             td = images[d]
-            lhs = theta(cx_multiply(c, d))
+            lhs = theta(_cx_multiply(c, d, seam))
             key = (tc.trunk, d)
             if key not in shifted:
                 shifted[key] = zx_translate(g, td.zx)
-            rhs_zx = zx_multiply(tc.zx, shifted[key])
+            rhs_zx = _zx_multiply(tc.zx, shifted[key], seam)
             if not (lhs.zx == rhs_zx and lhs.trunk == tc.trunk + td.trunk):
                 failures.append((c, d))
     return failures

@@ -55,17 +55,48 @@ def munn_from_word(g: GroupWord) -> MunnElement:
 def munn_product(factors: Iterable[MunnElement]) -> MunnElement:
     """(A1, a1) ... (An, an) = (A1 u a1 A2 u ... u a1...a(n-1) An, a1...an).
 
-    One set is built and checked for prefix closure once; no factors give
-    the identity and a lone factor is returned as it is.
+    One set is built; no factors give the identity and a lone factor is
+    returned as it is.  The factors are valid, so only what the product
+    adds is checked, in O(added words): the point lies in the set, and each
+    added word has its parent in it.
     """
     first, *rest = tuple(factors) or (MUNN_ONE,)
     if not rest:
         return first
-    aset, point = set(first.aset), first.point
+    added, point = set(), first.point
     for q in rest:
-        aset.update(words.gmul(point, b) for b in q.aset)
+        added.update(words.gmul(point, b) for b in q.aset)
         point = words.gmul(point, q.point)
-    return MunnElement(frozenset(aset), point)
+    added -= first.aset
+    aset = first.aset | added
+    if point not in aset:
+        raise ValueError("point must lie in the set")
+    if not all(g[:-1] in aset for g in added if g):
+        raise ValueError("set must be prefix-closed")
+    p = object.__new__(MunnElement)  # checked above, not again in __post_init__
+    object.__setattr__(p, "aset", aset)
+    object.__setattr__(p, "point", point)
+    return p
+
+
+def munn_of_tree(t) -> MunnElement:
+    """The element an ``xtree.RawTree`` spells: each vertex's reduced word
+    from the start, pointed at the end's.  One BFS from the start gives a
+    vertex gmul(its parent's word, the edge's signed letter).  An input that
+    is not a tree raises ValueError."""
+    adj = [[] for _ in range(t.nv)]
+    for s, x, d in t.edges:
+        adj[s].append((d, ((x, 1),)))
+        adj[d].append((s, ((x, -1),)))
+    word, order = {t.start: words.GEMPTY}, [t.start]
+    for v in order:
+        for w, step in adj[v]:
+            if w not in word:
+                word[w] = words.gmul(word[v], step)
+                order.append(w)
+    if len(order) != t.nv or len(t.edges) != t.nv - 1:
+        raise ValueError(f"not a tree: {len(t.edges)} edges, {len(order)} of {t.nv} vertices reached")
+    return MunnElement(frozenset(word.values()), word[t.end])
 
 
 def munn_multiply(p: MunnElement, q: MunnElement) -> MunnElement:

@@ -10,7 +10,11 @@ the module at every call, so rebinding a module attribute (as a tracer
 does) reaches them.  The tree models (module ``xtree``) evaluate a whole
 term as one raw tree: one walk of the parsed term appends its edges to one
 list, making each vertex once, and the module's ``prune`` reduces that
-tree once at the end.
+tree once at the end.  fi, fa and fla (module ``scheiblich``) build the
+same raw tree, ``^-1`` included, and fold it with ``munn_of_tree``, since
+a Munn element is the set of path words of any tree that spells it.
+sdp:F, sz and mm keep the generic evaluator: sdp:F's identity (empty set,
+1) is not the fold of the one-vertex tree, and sz lacks ``^+`` and ``^*``.
 """
 
 from __future__ import annotations
@@ -109,13 +113,15 @@ class Structure:
         because the product is associative.  The fold, which reduces at
         every node, is kept in the tests as the oracle.  A tree model makes
         the whole term as one raw tree instead (``_raw_tree``) and prunes it
-        once.
+        once, and a Munn model folds that raw tree (``munn_of_tree``).
 
         Errors are raised where the reducing evaluation raises them: an
         operation the model lacks fails when it is reached, on its
         evaluated operand."""
         if self.module is xtree:
             return self.module.prune(self._raw_tree(node))
+        if self.module is sch:
+            return self.module.munn_of_tree(self._raw_tree(node))
         values: List[Any] = []
         work: List[Any] = [node]
         while work:
@@ -147,7 +153,9 @@ class Structure:
         product takes its factors left to right forward, right to left
         backward.  ``T^+`` (start = end = start(T)) builds T forward and
         ``T^*`` (start = end = end(T)) builds T backward, each from ``cur``,
-        which is then restored.  So this is the tree that ``xtree``'s
+        which is then restored.  ``T^-1``, where the model has it, builds T
+        in the other direction and leaves ``cur`` where T left it: its start
+        is T's end.  So this is the tree that ``xtree``'s
         ``raw_product``, ``raw_plus`` and ``raw_star`` glue from letter
         trees, up to a numbering that ``prune`` makes canonical.
 
@@ -185,6 +193,8 @@ class Structure:
             elif kind in forward:
                 work.append(cur)
                 work.append((node[1], forward[kind]))
+            elif kind == "inv" and "inverse" in self.unary:
+                work.append((node[1], not fwd))
             elif kind != "one":
                 raise self._first_missing(term)
         return xtree.RawTree(nv + 1, tuple(edges), 0, cur)

@@ -20,10 +20,11 @@ smaller than (b a^i)^+ = ({1, x, ..., x^{2i}}, 1).
 ``left_divide`` is ``coherence.left_divide`` without its trunk test: it
 always aligns the two normal forms.  The two must return the same divisor.
 
-``check_forbidden_config`` and ``check_bgr_config`` are the certificates
-as they were before their elements were hoisted out of the comparison
-loops: each (b a^j)* and each triple product is recomputed where it is
-compared.  Their reports must equal ``coherence``'s.
+``check_forbidden_config``, ``check_bgr_config`` and
+``check_ghe_quotient_conditions`` are the certificates as they were before
+their elements were hoisted out of the comparison loops: each (b a^j)*,
+each triple product and each one-point element of Q_n is recomputed where
+it is compared.  Their reports must equal ``coherence``'s.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Any, List, Optional, Tuple
 from ehresmann import coherence as co
 import expansions_oracle
 from ehresmann import normalform, xtree
+from ehresmann.expansions import QnElement
 from ehresmann.psdp import PSetElement
 from ehresmann.xtree import XTree, tree_multiply
 
@@ -168,4 +170,38 @@ def check_bgr_config(g, h, e, N: int, ctx) -> co.ConfigReport:
         for k in range(1, n + 1):
             if base_el == mul(base_el, prod((hp[k], e, gp[k]))):
                 failures.append(("4ii", {"n": n, "k": k}))
+    return co._finish(N, failures)
+
+
+def check_ghe_quotient_conditions(N: int, ctx) -> co.ConfigReport:
+    failures: List[Tuple[str, Any]] = []
+
+    def el(exps) -> QnElement:
+        return QnElement(ctx.one.base, ctx.one.n, frozenset(exps), 0)
+
+    for m in range(-N, N + 1):
+        for n in range(-N, N + 1):
+            if m != n and el([m]) == el([n]):
+                failures.append(("1", {"m": m, "n": n}))
+    for m in range(1, N + 1):
+        for n in range(1, N + 1):
+            pair = el([m, -n])
+            if pair == el([m]) or pair == el([-n]):
+                failures.append(("2", {"m": m, "n": n}))
+    for m in range(0, N + 1):
+        for n in range(0, N + 1):
+            if m == n:
+                continue
+            if el([m, n]) == el([m]):
+                failures.append(("3+", {"m": m, "n": n}))
+            if el([-m, -n]) == el([-m]):
+                failures.append(("3-", {"m": m, "n": n}))
+    for n in range(1, N + 1):
+        zero_n = el([0, n])
+        for k in range(1, n):
+            if zero_n == el([k]) or zero_n == el([0, k, n]):
+                failures.append(("4", {"k": k, "n": n}))
+        for k in range(1, n + 1):
+            if zero_n == el([-k]) or zero_n == el([-k, 0, n]):
+                failures.append(("5", {"k": k, "n": n}))
     return co._finish(N, failures)

@@ -150,6 +150,16 @@ def test_ghe_conditions_hold_in_q3_but_not_q1():
     assert report.verdict == "fail"
 
 
+@pytest.mark.parametrize("model", ["qn:1", "qn:2", "qn:3", "qn:4"])
+def test_ghe_matches_the_recomputing_oracle(model):
+    ctx = get_structure(model)
+    for N in range(17):
+        want = coherence_oracle.check_ghe_quotient_conditions(N, ctx).to_json()
+        assert co.check_ghe_quotient_conditions(N, ctx).to_json() == want, N
+    # Q_1 and Q_2 make every two-point set Top, and families 4 and 5 compare such sets
+    assert want["verdict"] == ("fail" if model in ("qn:1", "qn:2") else "pass")
+
+
 def test_odd_triangulars():
     assert co.odd_triangulars(6) == [1, 3, 15, 21, 45, 55]
 

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+import embed_theta_oracle
 from ehresmann import embed_theta as et
 from ehresmann import words, xtree
+from ehresmann.normalform import is_word_letter
 from ehresmann.xtree import letter_tree, tree_multiply, tree_plus
 
 AP = tree_plus(letter_tree("a"))
@@ -127,3 +129,45 @@ def test_theta_separates_normalized_words():
             img = et.theta(c)
             prev = seen.setdefault((img.zx, img.trunk), c)
             assert prev == c, (prev, c)
+
+
+def cxs_up_to(k_max):
+    return list(dict.fromkeys(
+        et.CXWord.make(list(seq))
+        for k in range(k_max + 1)
+        for seq in itertools.product(LETTERS, repeat=k)
+    ))
+
+
+def test_multiply_and_theta_match_the_old_bodies():
+    cxs = cxs_up_to(3)
+    assert len(cxs) == 62
+    for c in cxs:
+        assert et.theta(c) == embed_theta_oracle.theta(c), c
+        for d in cxs:
+            assert et.cx_multiply(c, d) == embed_theta_oracle.cx_multiply(c, d), (c, d)
+
+
+@pytest.mark.parametrize("translate", ["action", "ignored"])
+def test_the_law_check_returns_the_old_failures(translate, monkeypatch):
+    if translate == "ignored":
+        monkeypatch.setattr(et, "zx_translate", lambda g, z: z)
+    cxs = short_cxs()
+    want = embed_theta_oracle.theta_morphism_check(cxs, cxs)
+    assert et.theta_morphism_check(cxs, cxs) == want
+    assert bool(want) == (translate == "ignored")
+
+
+def test_each_seam_product_is_made_once_per_call(monkeypatch):
+    cxs = short_cxs()  # the C-words of `ehres check theta-morphism --bound 2`
+    calls = []
+    multiply = et.tree_multiply
+    monkeypatch.setattr(et, "tree_multiply", lambda e, f: calls.append((e, f)) or multiply(e, f))
+    assert et.theta_morphism_check(cxs, cxs) == []
+    seams = {(c.parts[-1], d.parts[0]) for c in cxs for d in cxs
+             if c.parts and d.parts and not (is_word_letter(c.parts[-1]) or is_word_letter(d.parts[0]))}
+    assert len(calls) == len(set(calls)) == len(seams) > 0
+    assert set(calls) == seams
+    calls.clear()
+    et.theta_morphism_check(cxs, cxs)  # nothing is kept from the earlier call
+    assert len(calls) == len(seams)

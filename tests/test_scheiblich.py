@@ -1,13 +1,17 @@
 """Free inverse monoid elements as (prefix-closed set, point) pairs."""
 
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
+import eval_oracle
 from ehresmann import scheiblich as sch
 from ehresmann import words
 from ehresmann.structures import get_structure
+from ehresmann.xtree import RawTree
+from random_trees import random_raw_tree
 from words_oracle import reduce_group_word
 
 signed = st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1)))
@@ -84,6 +88,80 @@ def test_multiply_is_the_definition(p, q):
 @given(st.lists(elements, max_size=5))
 def test_product_matches_the_fold_of_multiply(ps):
     assert sch.munn_product(ps) == reduce(sch.munn_multiply, ps, sch.MUNN_ONE)
+
+
+def full_product(factors):
+    """munn_product as it was: the whole union, validated as a new element."""
+    first, *rest = tuple(factors) or (sch.MUNN_ONE,)
+    aset, point = set(first.aset), first.point
+    for q in rest:
+        aset.update(words.gmul(point, b) for b in q.aset)
+        point = words.gmul(point, q.point)
+    return sch.MunnElement(frozenset(aset), point)
+
+
+def test_product_checks_what_it_adds_and_matches_the_full_union():
+    rng = random.Random(7)
+    letters = [(x, s) for x in "xy" for s in (1, -1)]
+    for _ in range(300):
+        factors = [sch.munn_from_word(reduce_group_word(tuple(
+            rng.choice(letters) for _ in range(rng.randint(0, 5)))))
+            for _ in range(rng.randint(0, 6))]
+        factors += [sch.munn_plus(f) for f in factors[:2]] + [sch.munn_star(f) for f in factors[2:3]]
+        rng.shuffle(factors)
+        got = sch.munn_product(factors)
+        assert got == full_product(factors), factors
+        assert isinstance(got.aset, frozenset) and words.is_prefix_closed(got.aset)
+
+
+def tree_term(t):
+    """A parsed term for the raw tree t, made of its letters, ^-1, ^+ and
+    products: the start-to-end path, with each branch off it as the ^+ of
+    its edge times the branches below."""
+    adj = [[] for _ in range(t.nv)]
+    for a, x, b in t.edges:
+        adj[a].append((b, ("atom", x)))
+        adj[b].append((a, ("inv", ("atom", x))))
+
+    def hang(v, avoid):
+        factors = [("plus", ("mul", step, hang(w, {v}))) for w, step in adj[v] if w not in avoid]
+        return ("mul", *factors) if factors else ("one",)
+
+    order, parent = [t.start], {t.start: None}
+    for v in order:
+        for w, _ in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    path = [t.end]  # the vertices from end back to start, then reversed
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    factors = []
+    for i, v in enumerate(path):
+        factors.append(hang(v, set(path[max(i - 1, 0):i + 2]) - {v}))
+        if i + 1 < len(path):
+            factors += [step for w, step in adj[v] if w == path[i + 1]]
+    return ("mul", *factors)
+
+
+def test_munn_of_tree_matches_the_generic_evaluation():
+    fi = get_structure("fi")
+    rng = random.Random(11)
+    for n_edges in [0, 1, 2, 3] + [rng.randint(4, 30) for _ in range(120)]:
+        t = random_raw_tree(rng, "xy", n_edges)
+        node = tree_term(t)
+        want = eval_oracle.fold_eval(fi, node)
+        assert sch.munn_of_tree(t) == want, t
+        assert fi.eval(node) == want, t
+
+
+def test_munn_of_tree_refuses_a_graph_that_is_not_a_tree():
+    for t in (RawTree(2, ((0, "x", 1), (1, "y", 0)), 0, 1),
+              RawTree(3, ((0, "x", 1),), 0, 1),
+              RawTree(3, ((0, "x", 1), (1, "y", 0)), 0, 1)):
+        with pytest.raises(ValueError, match="not a tree"):
+            sch.munn_of_tree(t)
 
 
 def test_an_atom_is_built_and_validated_once(monkeypatch):
