@@ -225,18 +225,17 @@ def _right_intersect(s="a", t="b", bound=None):
 def _mm_fi_iso(bound=4):
     """The isomorphism of M(F, X) and Munn trees, on every word of <= --bound letters."""
     bound = _size("bound", bound)
-    base = psdp.FreeGroup()
     # (letter, its MM step, its Munn step) for x, x^-1, y, y^-1
     steps = []
     for name in "xy":
-        gen = ex.mm_generator(base, name)
+        gen = ex.mm_generator(name)
         for letter, step in (((name, 1), gen), ((name, -1), ex.mm_inverse(gen))):
             steps.append((letter, step, sch.munn_from_word((letter,))))
     failures = []
-    stack = [((), ex.mm_identity(base), sch.MUNN_ONE)]
+    stack = [((), ex.mm_identity(), sch.MUNN_ONE)]
     while stack:
         seq, mm, mun = stack.pop()
-        if ex.mm_to_munn(mm) != mun or ex.munn_to_mm(base, mun) != mm:
+        if ex.mm_to_munn(mm) != mun or ex.munn_to_mm(mun) != mm:
             failures.append(("iso", {"word": seq}))
         if len(seq) < bound:
             for letter, mm_step, munn_step in steps:

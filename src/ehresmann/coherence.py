@@ -188,7 +188,7 @@ def check_ghe_quotient_conditions(N: int, ctx: Structure) -> ConfigReport:
     failures: List[Tuple[str, Any]] = []
 
     def el(exps) -> QnElement:
-        return QnElement(ctx.one.base, ctx.one.n, frozenset(exps), 0)
+        return QnElement(ctx.one.n, frozenset(exps), 0)
 
     one = {m: el([m]) for m in range(-N, N + 1)}
     for m in range(-N, N + 1):
@@ -412,8 +412,8 @@ def right_ideal_intersection_FLAd(
     S: XTree,
     T: XTree,
     *,
-    max_edges: Optional[int] = None,
-    factor_edges: Optional[int] = None,
+    max_edges: int,
+    factor_edges: int,
 ) -> Tuple[XTree, ...]:
     """The depth-bounded generating set Z_L of TM n SM.
 
@@ -426,10 +426,6 @@ def right_ideal_intersection_FLAd(
     labels, so no candidate V needs to be enumerated.
     """
     L = max(xtree.depth_directed(T), xtree.depth_directed(S))
-    if max_edges is None:
-        max_edges = len(S.edges) + len(T.edges) + 4
-    if factor_edges is None:
-        factor_edges = max_edges
     labels = sorted(xtree.label_set(T) | xtree.label_set(S)) or ["a"]
     factors = _enum(labels, factor_edges)
     common = {tree_multiply(T, A) for A in factors} & {tree_multiply(S, A) for A in factors}

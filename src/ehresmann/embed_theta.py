@@ -46,14 +46,10 @@ class CXWord:
         return out
 
 
-def cx_multiply(c: CXWord, d: CXWord) -> CXWord:
+def _cx_multiply(c: CXWord, d: CXWord, mul: Callable[[XTree, XTree], XTree]) -> CXWord:
     """c d for normalized c and d (made by ``CXWord.make``): their parts
     alternate and none is trivial, so only c's last and d's first part can
-    merge, with at most one ``tree_multiply``."""
-    return _cx_multiply(c, d, tree_multiply)
-
-
-def _cx_multiply(c: CXWord, d: CXWord, mul: Callable[[XTree, XTree], XTree]) -> CXWord:
+    merge, with at most one ``mul`` of two idempotent trees."""
     if not (c.parts and d.parts):
         return c if c.parts else d
     left, right = c.parts[-1], d.parts[0]
@@ -95,13 +91,6 @@ class ZXElement:
         ys = " ".join(f"y[{x},{format_group_word(h)}]" for x, h in sorted(self.ys))
         es = " ".join(f"e[{format_group_word(h)}]" for h, _ in self.es)
         return f"Z({ys}; {es})"
-
-
-ZX_ONE = ZXElement(frozenset(), ())
-
-
-def zx_multiply(a: ZXElement, b: ZXElement) -> ZXElement:
-    return _zx_multiply(a, b, tree_multiply)
 
 
 def _zx_multiply(a: ZXElement, b: ZXElement, mul: Callable[[XTree, XTree], XTree]) -> ZXElement:

@@ -10,9 +10,10 @@ restriction) monoid with
 
 and idempotents exactly the pairs ``(Y, 1)``.
 
-A base is a stateless value, equal to every base of its type.  The product
-and inverse keep the class of their first operand, so a sub-monoid such as
-Sz(G) (``expansions.SzElement``) subclasses ``PSetElement`` for its invariant.
+A base is a stateless value, equal to every base of its type.  The product,
+inverse, ``+`` and ``*`` keep the class of their first operand, so a
+sub-monoid subclasses ``PSetElement`` for its invariant and shares them:
+Sz(G) (``expansions.SzElement``) and FI inside S(F) (``scheiblich.MunnElement``).
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def sdp_star(p: PSetElement) -> PSetElement:
     """(Y, g)* = (g^-1 Y, 1); needs a group base."""
     base = p.base
     gi = base.invert(p.point)
-    return PSetElement(base, frozenset(base.multiply(gi, e) for e in p.elems), base.identity())
+    return type(p)(base, frozenset(base.multiply(gi, e) for e in p.elems), base.identity())
 
 
 def sdp_plus(p: PSetElement) -> PSetElement:
     """(Y, g)+ = (Y, 1)."""
-    return PSetElement(p.base, p.elems, p.base.identity())
+    return type(p)(p.base, p.elems, p.base.identity())

@@ -5,6 +5,12 @@ of reduced group words and ``a in A``.  The generator x embeds as
 ``({1, x}, x)``; multiplication is ``(A, a)(B, b) = (A u aB, ab)`` and
 inversion is ``(A, a)^-1 = (a^-1 A, a^-1)``.
 
+FI is a sub-monoid of S(F) = P(F) x| F: a ``MunnElement`` is a
+``psdp.PSetElement`` over the free group that checks its invariant, and
+psdp's inverse, ``+`` and ``*`` are bound here under the ``munn_`` names that
+``structures`` looks up.  Only the n-ary product, which checks just the words
+it adds, is FI's own.
+
 Two submonoids are singled out by membership tests: the free ample monoid
 FA(X) (point a positive word) and the free left ample monoid FLA(X)
 (every element of A a positive word).
@@ -16,39 +22,47 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from . import words
+from .psdp import FreeGroup, PSetElement
+from .psdp import sdp_inverse as munn_inverse, sdp_plus as munn_plus, sdp_star as munn_star
 from .words import GroupWord
 
+F = FreeGroup()
 
-@dataclass(frozen=True)
-class MunnElement:
-    aset: FrozenSet[GroupWord]
-    point: GroupWord
+
+@dataclass(frozen=True, repr=False)
+class MunnElement(PSetElement):
+    """(A, a) in FI, the element (A, a) of S(F) with A prefix-closed and a in A."""
 
     def __post_init__(self):
-        if not isinstance(self.aset, frozenset):
-            object.__setattr__(self, "aset", frozenset(self.aset))
-        if self.point not in self.aset:
+        super().__post_init__()
+        if self.point not in self.elems:
             raise ValueError("point must lie in the set")
-        if not words.is_prefix_closed(self.aset):
+        if not words.is_prefix_closed(self.elems):
             raise ValueError("set must be prefix-closed")
 
+    @property
+    def aset(self) -> FrozenSet[GroupWord]:
+        """The set A under its earlier name, kept for perfbench's fad-products
+        check (``perfbench/workloads.py``), its only reader."""
+        return self.elems
+
     def __repr__(self) -> str:
-        inner = ", ".join(sorted(words.format_group_word(g) for g in self.aset))
+        inner = ", ".join(sorted(words.format_group_word(g) for g in self.elems))
         return f"({{{inner}}}, {words.format_group_word(self.point)})"
 
     def to_json(self) -> dict:
         return {
-            "set": sorted(words.format_group_word(g) for g in self.aset),
+            "set": sorted(words.format_group_word(g) for g in self.elems),
             "point": words.format_group_word(self.point),
         }
 
 
-MUNN_ONE = MunnElement(frozenset({words.GEMPTY}), words.GEMPTY)
+MUNN_ONE = MunnElement(F, frozenset({words.GEMPTY}), words.GEMPTY)
 
 
 def munn_from_word(g: GroupWord) -> MunnElement:
     """Image of a group word under the generator embedding x |-> ({1,x}, x)."""
-    return munn_product([MunnElement(frozenset({words.GEMPTY, (letter,)}), (letter,))
+    return munn_product([MunnElement(F, frozenset({words.GEMPTY, (letter,)}), (letter,))
                          for letter in g])
 
 
@@ -65,16 +79,17 @@ def munn_product(factors: Iterable[MunnElement]) -> MunnElement:
         return first
     added, point = set(), first.point
     for q in rest:
-        added.update(words.gmul(point, b) for b in q.aset)
+        added.update(words.gmul(point, b) for b in q.elems)
         point = words.gmul(point, q.point)
-    added -= first.aset
-    aset = first.aset | added
-    if point not in aset:
+    added -= first.elems
+    elems = first.elems | added
+    if point not in elems:
         raise ValueError("point must lie in the set")
-    if not all(g[:-1] in aset for g in added if g):
+    if not all(g[:-1] in elems for g in added if g):
         raise ValueError("set must be prefix-closed")
     p = object.__new__(MunnElement)  # checked above, not again in __post_init__
-    object.__setattr__(p, "aset", aset)
+    object.__setattr__(p, "base", F)
+    object.__setattr__(p, "elems", elems)
     object.__setattr__(p, "point", point)
     return p
 
@@ -96,27 +111,11 @@ def munn_of_tree(t) -> MunnElement:
                 order.append(w)
     if len(order) != t.nv or len(t.edges) != t.nv - 1:
         raise ValueError(f"not a tree: {len(t.edges)} edges, {len(order)} of {t.nv} vertices reached")
-    return MunnElement(frozenset(word.values()), word[t.end])
+    return MunnElement(F, frozenset(word.values()), word[t.end])
 
 
 def munn_multiply(p: MunnElement, q: MunnElement) -> MunnElement:
     return munn_product((p, q))
-
-
-def munn_inverse(p: MunnElement) -> MunnElement:
-    ai = words.ginv(p.point)
-    return MunnElement(frozenset(words.gmul(ai, g) for g in p.aset), ai)
-
-
-def munn_star(p: MunnElement) -> MunnElement:
-    """p^-1 p = (a^-1 A, 1)."""
-    ai = words.ginv(p.point)
-    return MunnElement(frozenset(words.gmul(ai, g) for g in p.aset), words.GEMPTY)
-
-
-def munn_plus(p: MunnElement) -> MunnElement:
-    """p p^-1 = (A, 1)."""
-    return MunnElement(p.aset, words.GEMPTY)
 
 
 def in_FA(p: MunnElement) -> bool:
@@ -126,4 +125,4 @@ def in_FA(p: MunnElement) -> bool:
 
 def in_FLA(p: MunnElement) -> bool:
     """Free left ample monoid membership: the whole set is positive."""
-    return all(words.is_positive(g) for g in p.aset)
+    return all(words.is_positive(g) for g in p.elems)

@@ -245,13 +245,16 @@ def get_structure(name: str) -> Structure:
         unary = ("plus", "star") if name == "fad" else ("plus",)
         return Structure(name, xtree.IDENTITY_TREE, xtree.letter_tree, xtree, "tree",
                          unary, idempotent=xtree.is_idempotent)
+    def generators(cls):  # x -> ({1, x}, x) in S(F) or its sub-monoid Sz(F) or FI
+        return lambda x: cls(sch.F, frozenset({(), ((x, 1),)}), ((x, 1),))
+
     if name in ("fi", "fa", "fla"):
         # fa/fla terms evaluate in the free inverse monoid; membership in the
         # sub-monoid is checked on the final result only
         finish = {"fa": _member(sch.in_FA, "free ample monoid"),
                   "fla": _member(sch.in_FLA, "free left ample monoid")}.get(name, _unchanged)
-        return Structure(name, sch.MUNN_ONE, lambda x: sch.munn_from_word(((x, 1),)),
-                         sch, "munn", finish=finish)
+        return Structure(name, sch.MUNN_ONE, generators(sch.MunnElement), sch, "munn",
+                         finish=finish)
     if name == "sdp:Z" or name.startswith("qn:"):
         Z = psdp.IntegersAdd()
         ghe = {"g": psdp.PSetElement(Z, frozenset(), 1),
@@ -265,18 +268,13 @@ def get_structure(name: str) -> Structure:
         n = int(digits)
         name = f"qn:{n}"
         ghe = {k: ex.qn_from_sdp(v, n) for k, v in ghe.items()}
-        return Structure(name, ex.qn_identity(Z, n), _lookup(name, ghe), ex, "qn",
+        return Structure(name, ex.qn_identity(n), _lookup(name, ghe), ex, "qn",
                          sort_keys=False)
-    F = psdp.FreeGroup()
-
-    def generators(cls):  # x -> ({1, x}, x) in S(F) or its sub-monoid Sz(F)
-        return lambda x: cls(F, frozenset({(), ((x, 1),)}), ((x, 1),))
-
     if name == "sdp:F":
-        return semidirect(F, name, generators(psdp.PSetElement))
+        return semidirect(sch.F, name, generators(psdp.PSetElement))
     if name == "mm":
-        return Structure(name, ex.mm_identity(F), lambda x: ex.mm_generator(F, x), ex, "mm")
+        return Structure(name, ex.mm_identity(), ex.mm_generator, ex, "mm")
     if name == "sz":
-        return Structure(name, ex.SzElement(F, frozenset({()}), ()), generators(ex.SzElement),
+        return Structure(name, ex.SzElement(sch.F, frozenset({()}), ()), generators(ex.SzElement),
                          psdp, "sdp", ("inverse",))
     raise ValueError(f"unknown model {name!r}")

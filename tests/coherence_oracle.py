@@ -92,7 +92,7 @@ def _e_freemonoid(ctx, i: int) -> PSetElement:
 
 def _e_mm(ctx, i: int):
     """(P_{y x^i}, 1)."""
-    return ctx.plus(expansions_oracle.mm_from_word(ctx.one.graph.base, (("y", 1),) + (("x", 1),) * i))
+    return ctx.plus(expansions_oracle.mm_from_word((("y", 1),) + (("x", 1),) * i))
 
 
 def _e_fad(ctx, i: int) -> XTree:
@@ -177,7 +177,7 @@ def check_ghe_quotient_conditions(N: int, ctx) -> co.ConfigReport:
     failures: List[Tuple[str, Any]] = []
 
     def el(exps) -> QnElement:
-        return QnElement(ctx.one.base, ctx.one.n, frozenset(exps), 0)
+        return QnElement(ctx.one.n, frozenset(exps), 0)
 
     for m in range(-N, N + 1):
         for n in range(-N, N + 1):

@@ -10,6 +10,7 @@ import time
 import normalform_oracle
 import prune_oracle
 from coherence_oracle import STAR_SETS, divides
+from embed_theta_oracle import ZX_ONE, cx_multiply, zx_multiply
 from random_trees import random_raw_tree
 from ehresmann import coherence as co
 from ehresmann import embed_theta as et
@@ -19,7 +20,6 @@ from ehresmann import psdp
 from ehresmann import scheiblich as sch
 from ehresmann import words, xtree
 from ehresmann.cli import CHECKS
-from ehresmann.psdp import FreeGroup
 from ehresmann.xtree import (
     IDENTITY_TREE,
     letter_tree,
@@ -240,8 +240,8 @@ def test_criterion_10_theta_laws():
     for c in cxs:
         g = words.word_to_group(images[c].trunk)
         for d in cxs:
-            lhs = et.theta(et.cx_multiply(c, d))
-            rhs = et.zx_multiply(images[c].zx, et.zx_translate(g, images[d].zx))
+            lhs = et.theta(cx_multiply(c, d))
+            rhs = zx_multiply(images[c].zx, et.zx_translate(g, images[d].zx))
             ok &= lhs.zx == rhs and lhs.trunk == images[c].trunk + images[d].trunk
             if not ok:
                 break
@@ -251,10 +251,10 @@ def test_criterion_10_theta_laws():
     word_letters = [w for k in (1, 2) for w in itertools.product("ab", repeat=k)]
     for seq in itertools.product(word_letters + idems, repeat=2):
         c = et.CXWord.make(list(seq))
-        direct_zx, trunk = et.ZX_ONE, ()
+        direct_zx, trunk = ZX_ONE, ()
         for part in c.parts:
             img = et.theta(et.CXWord.make([part]))
-            direct_zx = et.zx_multiply(
+            direct_zx = zx_multiply(
                 direct_zx, et.zx_translate(words.word_to_group(trunk), img.zx)
             )
             trunk = trunk + img.trunk
@@ -271,15 +271,14 @@ def test_criterion_10_theta_laws():
 
 def test_criterion_11_fi_mm_isomorphism():
     t0 = time.monotonic()
-    base = FreeGroup()
     steps = []
     for name in "xy":
-        gen = ex.mm_generator(base, name)
+        gen = ex.mm_generator(name)
         steps.append(((name, 1), gen, sch.munn_from_word(((name, 1),))))
         steps.append(((name, -1), ex.mm_inverse(gen),
                       sch.munn_from_word(((name, -1),))))
     ok = True
-    frontier = [(ex.mm_identity(base), sch.MUNN_ONE)]
+    frontier = [(ex.mm_identity(), sch.MUNN_ONE)]
     for _ in range(6):
         nxt = []
         for mm, mun in frontier:
@@ -287,7 +286,7 @@ def test_criterion_11_fi_mm_isomorphism():
                 mm2 = ex.mm_multiply(mm, mstep)
                 mun2 = sch.munn_multiply(mun, sstep)
                 ok &= ex.mm_to_munn(mm2) == mun2
-                ok &= ex.munn_to_mm(base, mun2) == mm2
+                ok &= ex.munn_to_mm(mun2) == mm2
                 nxt.append((mm2, mun2))
         # dedup to keep the frontier at distinct elements
         seen = {}

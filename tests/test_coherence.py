@@ -128,9 +128,9 @@ def test_bgr_config_integers():
 
 def test_bgr_config_survives_truncation():
     ctx = get_structure("qn:3")
-    g = ctx.one.__class__(ctx.one.base, 3, frozenset(), 1)
-    h = ctx.one.__class__(ctx.one.base, 3, frozenset(), -1)
-    e = ctx.one.__class__(ctx.one.base, 3, frozenset({0}), 0)
+    g = ctx.one.__class__(3, frozenset(), 1)
+    h = ctx.one.__class__(3, frozenset(), -1)
+    e = ctx.one.__class__(3, frozenset({0}), 0)
     assert co.check_bgr_config(g, h, e, 4, ctx).verdict == "pass"
 
 
@@ -378,7 +378,8 @@ def test_divides():
 
 def test_right_intersection_small():
     abp = tree_multiply(A, tree_plus(B))  # a b+ is a right multiple of a
-    Z = co.right_ideal_intersection_FLAd(A, abp)
+    cap = len(A.edges) + len(abp.edges) + 4  # the cap `ehres check right-intersect` uses
+    Z = co.right_ideal_intersection_FLAd(A, abp, max_edges=cap, factor_edges=cap)
     assert abp in Z
     for V in Z:
         assert divides(A, V, "right")
@@ -426,8 +427,9 @@ def test_right_intersection_matches_the_two_enumeration_oracle():
         got = co.right_ideal_intersection_FLAd(S, T, max_edges=5, factor_edges=3)
         assert got == oracle(S, T, 5, 3), (S, T)
         if len(S.edges) + len(T.edges) <= 2:
-            cap = len(S.edges) + len(T.edges) + 4  # the default edge cap
-            assert co.right_ideal_intersection_FLAd(S, T) == oracle(S, T, cap, cap), (S, T)
+            cap = len(S.edges) + len(T.edges) + 4  # the cap `ehres check right-intersect` uses
+            got = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
+            assert got == oracle(S, T, cap, cap), (S, T)
 
 
 def test_cong_gen_set_side_validation():

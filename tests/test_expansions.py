@@ -27,7 +27,7 @@ def sz_from_word(g):
 
 
 def test_generator_graph():
-    g = ex.mm_generator(F, "x")
+    g = ex.mm_generator("x")
     assert g.point == (("x", 1),)
     assert g.graph.edges == frozenset({((), "x")})
     expansions_oracle.validate(g.graph)
@@ -37,17 +37,17 @@ def test_subgraph_validation():
     one = ()
     x = (("x", 1),)
     with pytest.raises(ValueError):
-        expansions_oracle.validate(ex.CayleySubgraph(F, frozenset({x}), frozenset()))
+        expansions_oracle.validate(ex.CayleySubgraph(frozenset({x}), frozenset()))
     with pytest.raises(ValueError):
-        expansions_oracle.validate(ex.CayleySubgraph(F, frozenset({one, x}), frozenset()))
+        expansions_oracle.validate(ex.CayleySubgraph(frozenset({one, x}), frozenset()))
 
 
 @given(group_words, group_words)
 def test_mm_munn_isomorphism(u, v):
-    pu, pv = expansions_oracle.mm_from_word(F, u), expansions_oracle.mm_from_word(F, v)
+    pu, pv = expansions_oracle.mm_from_word(u), expansions_oracle.mm_from_word(v)
     mu, mv = sch.munn_from_word(u), sch.munn_from_word(v)
     assert ex.mm_to_munn(pu) == mu
-    assert ex.munn_to_mm(F, mu) == pu
+    assert ex.munn_to_mm(mu) == pu
     puv = ex.mm_multiply(pu, pv)
     expansions_oracle.validate(puv.graph)
     assert ex.mm_to_munn(puv) == sch.munn_multiply(mu, mv)
@@ -58,11 +58,10 @@ def test_mm_munn_isomorphism(u, v):
 def test_munn_to_mm_matches_the_oracle(ws, k):
     """Prefix-closed sets of words over x and y, and a point among them, in
     the free group."""
-    base = FreeGroup()
     aset = sorted({p for w in ws for p in prefixes(reduce_group_word(w))} | {()})
-    p = sch.MunnElement(frozenset(aset), aset[k % len(aset)])
-    got = ex.munn_to_mm(base, p)
-    assert got == expansions_oracle.munn_to_mm(base, p)
+    p = sch.MunnElement(sch.F, frozenset(aset), aset[k % len(aset)])
+    got = ex.munn_to_mm(p)
+    assert got == expansions_oracle.munn_to_mm(p)
     expansions_oracle.validate(got.graph)
     assert len(got.graph.edges) == len(aset) - 1  # a tree
     assert ex.mm_to_munn(got) == p
@@ -70,7 +69,7 @@ def test_munn_to_mm_matches_the_oracle(ws, k):
 
 @given(group_words)
 def test_mm_unary_ops(u):
-    p = expansions_oracle.mm_from_word(F, u)
+    p = expansions_oracle.mm_from_word(u)
     assert ex.mm_plus(p) == ex.mm_multiply(p, ex.mm_inverse(p))
     assert ex.mm_star(p) == ex.mm_multiply(ex.mm_inverse(p), p)
 
@@ -111,9 +110,9 @@ def test_sz_remembers_detours_but_not_backtracking():
 
 def test_top_is_a_singleton_and_absorbs():
     assert ex._Top() is ex.TOP
-    big = ex.QnElement(Z, 2, frozenset({0, 1}), 0)
+    big = ex.QnElement(2, frozenset({0, 1}), 0)
     assert big.elems is ex.TOP
-    small = ex.QnElement(Z, 2, frozenset({0}), 0)
+    small = ex.QnElement(2, frozenset({0}), 0)
     assert small.elems == frozenset({0})
     prod = ex.qn_multiply(big, small)
     assert prod.elems is ex.TOP and prod.point == 0
@@ -138,4 +137,4 @@ def test_qn_is_a_quotient_of_sdp():
 
 def test_qn_mixed_parameters_rejected():
     with pytest.raises(ValueError):
-        ex.qn_multiply(ex.qn_identity(Z, 2), ex.qn_identity(Z, 3))
+        ex.qn_multiply(ex.qn_identity(2), ex.qn_identity(3))

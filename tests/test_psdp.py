@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ehresmann.expansions import SzElement
 from ehresmann.psdp import (
     FreeGroup,
     IntegersAdd,
@@ -11,6 +12,7 @@ from ehresmann.psdp import (
     sdp_plus,
     sdp_star,
 )
+from ehresmann.scheiblich import MunnElement
 from ehresmann.structures import get_structure
 
 Z = IntegersAdd()
@@ -107,3 +109,14 @@ def test_bases_are_equal_by_type():
 def test_mixed_bases_rejected():
     with pytest.raises(ValueError, match="mixed bases"):
         sdp_multiply(zel({0}, 1), PSetElement(F, frozenset({()}), ()))
+
+
+@pytest.mark.parametrize("model, cls", [("fi", MunnElement), ("sz", SzElement)])
+def test_plus_and_star_keep_the_class_of_a_sub_monoid(model, cls):
+    ctx = get_structure(model)
+    p = ctx.product([ctx.atom("x"), ctx.inv(ctx.atom("y")), ctx.atom("x")])
+    assert type(p) is cls
+    # p = x y^-1 x visits 1, x, x y^-1 and x y^-1 x; p* sees them from its end
+    X, Xi, Y = ("x", 1), ("x", -1), ("y", 1)
+    assert sdp_plus(p) == cls(F, frozenset({(), (X,), (X, ("y", -1)), (X, ("y", -1), X)}), ())
+    assert sdp_star(p) == cls(F, frozenset({(), (Xi,), (Xi, Y), (Xi, Y, Xi)}), ())

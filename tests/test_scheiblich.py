@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eval_oracle
+from ehresmann import psdp
 from ehresmann import scheiblich as sch
 from ehresmann import words
 from ehresmann.structures import get_structure
@@ -23,8 +24,9 @@ elements = group_words.map(sch.munn_from_word)
 
 def test_generator_shape():
     x = sch.munn_from_word((("x", 1),))
-    assert x.aset == frozenset({(), (("x", 1),)})
+    assert x.elems == frozenset({(), (("x", 1),)})
     assert x.point == (("x", 1),)
+    assert x.base == sch.F and x.aset is x.elems
 
 
 def test_xx_inverse_is_not_identity():
@@ -37,9 +39,9 @@ def test_xx_inverse_is_not_identity():
 
 def test_prefix_closure_enforced():
     with pytest.raises(ValueError):
-        sch.MunnElement(frozenset({(("x", 1), ("y", 1))}), (("x", 1), ("y", 1)))
+        sch.MunnElement(sch.F, frozenset({(("x", 1), ("y", 1))}), (("x", 1), ("y", 1)))
     with pytest.raises(ValueError):
-        sch.MunnElement(frozenset({()}), (("x", 1),))
+        sch.MunnElement(sch.F, frozenset({()}), (("x", 1),))
 
 
 @given(elements, elements, elements)
@@ -81,8 +83,8 @@ def test_FA_FLA_membership():
 
 @given(elements, elements)
 def test_multiply_is_the_definition(p, q):
-    aset = p.aset | {words.gmul(p.point, b) for b in q.aset}
-    assert sch.munn_multiply(p, q) == sch.MunnElement(aset, words.gmul(p.point, q.point))
+    elems = p.elems | {words.gmul(p.point, b) for b in q.elems}
+    assert sch.munn_multiply(p, q) == sch.MunnElement(sch.F, elems, words.gmul(p.point, q.point))
 
 
 @given(st.lists(elements, max_size=5))
@@ -93,11 +95,11 @@ def test_product_matches_the_fold_of_multiply(ps):
 def full_product(factors):
     """munn_product as it was: the whole union, validated as a new element."""
     first, *rest = tuple(factors) or (sch.MUNN_ONE,)
-    aset, point = set(first.aset), first.point
+    elems, point = set(first.elems), first.point
     for q in rest:
-        aset.update(words.gmul(point, b) for b in q.aset)
+        elems.update(words.gmul(point, b) for b in q.elems)
         point = words.gmul(point, q.point)
-    return sch.MunnElement(frozenset(aset), point)
+    return sch.MunnElement(sch.F, frozenset(elems), point)
 
 
 def test_product_checks_what_it_adds_and_matches_the_full_union():
@@ -111,7 +113,7 @@ def test_product_checks_what_it_adds_and_matches_the_full_union():
         rng.shuffle(factors)
         got = sch.munn_product(factors)
         assert got == full_product(factors), factors
-        assert isinstance(got.aset, frozenset) and words.is_prefix_closed(got.aset)
+        assert isinstance(got.elems, frozenset) and words.is_prefix_closed(got.elems)
 
 
 def tree_term(t):
@@ -175,7 +177,7 @@ def test_an_atom_is_built_and_validated_once(monkeypatch):
 
 @given(group_words)
 def test_from_word_folds_the_generators(g):
-    gens = [sch.MunnElement(frozenset({(), (x,)}), (x,)) for x in g]
+    gens = [sch.MunnElement(sch.F, frozenset({(), (x,)}), (x,)) for x in g]
     assert sch.munn_from_word(g) == reduce(sch.munn_multiply, gens, sch.MUNN_ONE)
 
 
@@ -216,5 +218,23 @@ def parse_group_word(text):
 @given(elements)
 def test_json_roundtrip(p):
     data = p.to_json()
-    aset = frozenset(parse_group_word(g) for g in data["set"])
-    assert sch.MunnElement(aset, parse_group_word(data["point"])) == p
+    elems = frozenset(parse_group_word(g) for g in data["set"])
+    assert sch.MunnElement(sch.F, elems, parse_group_word(data["point"])) == p
+
+
+def include(m):
+    """The inclusion FI -> S(F)."""
+    return psdp.PSetElement(sch.F, m.elems, m.point)
+
+
+@pytest.mark.parametrize("op, arity", [("multiply", 2), ("inverse", 1), ("plus", 1), ("star", 1)])
+def test_the_inclusion_into_S_F_is_a_morphism(op, arity):
+    """FI's product, inverse, + and * are S(F)'s on FI's elements: the
+    inclusion commutes with each, on elements folded from random trees."""
+    fi_op, sdp_op = getattr(sch, "munn_" + op), getattr(psdp, "sdp_" + op)
+    rng = random.Random(19)
+    for _ in range(200):
+        ms = [sch.munn_of_tree(random_raw_tree(rng, "xy", rng.randint(0, 8))) for _ in range(arity)]
+        got = fi_op(*ms)
+        assert type(got) is sch.MunnElement
+        assert include(got) == sdp_op(*map(include, ms)), ms
