@@ -213,13 +213,24 @@ def _left_intersect(s="a", t="b"):
 
 
 def _right_intersect(s="a", t="b", bound=None):
-    """Generators of the right ideal intersection TM n SM, searched up to --bound edges."""
+    """Generators of the right ideal intersection TM n SM, searched up to --bound edges.
+
+    The verdict is pass, with no search, when neither trunk word of S and T
+    is a prefix of the other: the trunk of T A is trunk(T) trunk(A), so
+    T A = S A' would make one trunk a prefix of the other, and TM n SM is
+    empty.  Otherwise it is inconclusive, since the search stops at its caps."""
     S = eval_term(s, "flad")[1]
     T = eval_term(t, "flad")[1]
     cap = len(S.edges) + len(T.edges) + 4 if bound is None else _size("bound", bound)
+    s_trunk, t_trunk = xtree.trunk_word(S), xtree.trunk_word(T)
+    n = min(len(s_trunk), len(t_trunk))
+    if s_trunk[:n] != t_trunk[:n]:
+        return co.ConfigReport("pass", cap, [], [f"|Z| = 0 at edge cap {cap}"])
     Z = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
     notes = [f"|Z| = {len(Z)} at edge cap {cap}"] + [repr(v) for v in Z]
-    return co.ConfigReport("pass", cap, [], notes)
+    notes.append(f"trunks comparable; searched only under the caps: cofactors of at most {cap} "
+                 f"edges (factor_edges) and elements of at most {cap} edges (max_edges)")
+    return co.ConfigReport("inconclusive", cap, [], notes)
 
 
 def _mm_fi_iso(bound=4):

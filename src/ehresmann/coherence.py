@@ -8,6 +8,15 @@ left/right ideal intersections and right annihilators in the pruned-tree
 monoid of left-Ehresmann trees.  Nothing here decides coherence in
 general; bounded negative searches are reported as inconclusive, never as
 refutations.
+
+The trunks decide the ideal intersections first.  prune fixes the trunk,
+so the trunk of a product U S is trunk(U) trunk(S).  On the left, U S = V T
+makes one of trunk(S), trunk(T) a suffix of the other; when neither is,
+MS n MT is empty, and left_ideal_intersection_FLAd returns that before
+either normal form, as left_divide returns None.  On the right, T A = S A'
+makes one a prefix of the other; when neither is, TM n SM is empty.  That
+is the only case in which `ehres check right-intersect` says pass, and it
+then makes no bounded search.
 """
 
 from __future__ import annotations
@@ -355,20 +364,43 @@ def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
 
 
 def left_ideal_intersection_FLAd(S: XTree, T: XTree) -> IdealIntersection:
-    """MS n MT in the left-Ehresmann tree monoid: empty or principal."""
+    """MS n MT in the left-Ehresmann tree monoid: empty or principal.
+
+    The trunks decide first.  prune fixes the trunk, so the trunk of U S is
+    trunk(U) trunk(S), and U S = V T forces one of trunk(S), trunk(T) to be
+    a suffix of the other.  When neither is, MS n MT is empty, and that is
+    returned (conclusive) before either normal form.  Otherwise:
+
+    * S = a T is tried only when trunk(T) is a suffix of trunk(S), and
+      T = b S only when trunk(S) is a suffix of trunk(T), for the same
+      reason (see left_divide);
+    * the generator e T = e S with e = e1 f1 is tried only for equal trunks:
+      its guard, t0 = s0 = 1 and equal words t1..tm = s1..sm, makes the
+      trunks t0 t1..tm and s0 s1..sm equal.
+
+    An empty result with comparable trunks is inconclusive."""
     for t in (S, T):
         if not xtree.is_left_ehresmann(t):
             raise ValueError("inputs must be left-Ehresmann trees")
+    s_trunk = xtree.trunk_word(S)
+    t_trunk = xtree.trunk_word(T)
+    s_in_mt = is_suffix(t_trunk, s_trunk)  # S = a T is possible
+    t_in_ms = is_suffix(s_trunk, t_trunk)  # T = b S is possible
+    if not (s_in_mt or t_in_ms):
+        return IdealIntersection("empty", None, None, None, True, "")
     nS = normalform.normal_form_of_tree(S)
     nT = normalform.normal_form_of_tree(T)
-    a = _left_divide(T, S, nT, nS)  # S = a T  =>  MS <= MT
-    if a is not None:
-        return IdealIntersection("principal", S, a, xtree.IDENTITY_TREE)
-    b = _left_divide(S, T, nS, nT)  # T = b S
-    if b is not None:
-        return IdealIntersection("principal", T, xtree.IDENTITY_TREE, b)
+    if s_in_mt:
+        a = _left_divide(T, S, nT, nS)  # S = a T  =>  MS <= MT
+        if a is not None:
+            return IdealIntersection("principal", S, a, xtree.IDENTITY_TREE)
+    if t_in_ms:
+        b = _left_divide(S, T, nS, nT)  # T = b S
+        if b is not None:
+            return IdealIntersection("principal", T, xtree.IDENTITY_TREE, b)
     if (
-        nT.words[0] == ()
+        s_trunk == t_trunk
+        and nT.words[0] == ()
         and nS.words[0] == ()
         and nT.m >= 1
         and nS.m >= 1
@@ -380,11 +412,8 @@ def left_ideal_intersection_FLAd(S: XTree, T: XTree) -> IdealIntersection:
         gen = tree_multiply(e, T)
         if tree_multiply(e, S) == gen:
             return IdealIntersection("principal", gen, e, e)
-    t_trunk = xtree.trunk_word(T)
-    s_trunk = xtree.trunk_word(S)
-    conclusive = is_suffix(t_trunk, s_trunk) is False and is_suffix(s_trunk, t_trunk) is False
-    note = "" if conclusive else "no case matched; emptiness not proven by trunk criterion"
-    return IdealIntersection("empty", None, None, None, conclusive, note)
+    return IdealIntersection("empty", None, None, None, False,
+                             "no case matched; emptiness not proven by trunk criterion")
 
 
 def right_annihilator_FLAd(T: XTree) -> CongGenSet:

@@ -19,6 +19,10 @@ smaller than (b a^i)^+ = ({1, x, ..., x^{2i}}, 1).
 
 ``left_divide`` is ``coherence.left_divide`` without its trunk test: it
 always aligns the two normal forms.  The two must return the same divisor.
+``left_ideal_intersection_FLAd`` is ``coherence``'s without its trunk test:
+it computes both normal forms, tries S = a T, T = b S and the common
+idempotent e in turn, and reads the trunks only to mark an empty result
+conclusive.  The two must return the same result, field for field.
 
 ``check_forbidden_config``, ``check_bgr_config`` and
 ``check_ghe_quotient_conditions`` are the certificates as they were before
@@ -36,6 +40,7 @@ import expansions_oracle
 from ehresmann import normalform, xtree
 from ehresmann.expansions import QnElement
 from ehresmann.psdp import PSetElement
+from ehresmann.words import is_suffix
 from ehresmann.xtree import XTree, tree_multiply
 
 
@@ -55,6 +60,38 @@ def divides(T: XTree, U: XTree, side: str, bound: Optional[int] = None) -> bool:
 
 def left_divide(S: XTree, T: XTree) -> Optional[XTree]:
     return co._left_divide(S, T, normalform.normal_form_of_tree(S), normalform.normal_form_of_tree(T))
+
+
+def left_ideal_intersection_FLAd(S: XTree, T: XTree) -> co.IdealIntersection:
+    for t in (S, T):
+        if not xtree.is_left_ehresmann(t):
+            raise ValueError("inputs must be left-Ehresmann trees")
+    nS = normalform.normal_form_of_tree(S)
+    nT = normalform.normal_form_of_tree(T)
+    a = co._left_divide(T, S, nT, nS)  # S = a T  =>  MS <= MT
+    if a is not None:
+        return co.IdealIntersection("principal", S, a, xtree.IDENTITY_TREE)
+    b = co._left_divide(S, T, nS, nT)  # T = b S
+    if b is not None:
+        return co.IdealIntersection("principal", T, xtree.IDENTITY_TREE, b)
+    if (
+        nT.words[0] == ()
+        and nS.words[0] == ()
+        and nT.m >= 1
+        and nS.m >= 1
+        and nT.m == nS.m
+        and nT.words[1:] == nS.words[1:]
+        and nT.idems[1:] == nS.idems[1:]
+    ):
+        e = tree_multiply(nS.idems[0], nT.idems[0])
+        gen = tree_multiply(e, T)
+        if tree_multiply(e, S) == gen:
+            return co.IdealIntersection("principal", gen, e, e)
+    t_trunk = xtree.trunk_word(T)
+    s_trunk = xtree.trunk_word(S)
+    conclusive = is_suffix(t_trunk, s_trunk) is False and is_suffix(s_trunk, t_trunk) is False
+    note = "" if conclusive else "no case matched; emptiness not proven by trunk criterion"
+    return co.IdealIntersection("empty", None, None, None, conclusive, note)
 
 
 def _star_set_fi(i: int) -> frozenset:

@@ -167,10 +167,19 @@ def test_check_left_intersect_exit_codes(capsys):
     assert "empty" in out
 
 
-def test_check_right_intersect(capsys):
+def test_check_right_intersect(capsys, monkeypatch):
+    searches = []
+    search = co.right_ideal_intersection_FLAd
+    monkeypatch.setattr(co, "right_ideal_intersection_FLAd",
+                        lambda *a, **k: searches.append(a) or search(*a, **k))
     code, out, _ = run(capsys, "check", "right-intersect", "--s", "a", "--t", "a^+ a")
-    assert code == 0
-    assert "|Z|" in out
+    assert code == 2  # the trunks a and a are comparable: the caps decide nothing
+    assert "|Z|" in out and len(searches) == 1
+    # a b and b a are prefix-incomparable: TM n SM is empty, with no search
+    # (which, at the default cap of 8 edges, would exceed the enumeration budget)
+    code, out, _ = run(capsys, "check", "right-intersect", "--s", "a b", "--t", "b a")
+    assert code == 0 and len(searches) == 1
+    assert json.loads(out)["notes"] == ["|Z| = 0 at edge cap 8"]
 
 
 def test_check_mm_fi_iso(capsys):
@@ -213,7 +222,7 @@ def test_zero_depth_and_bound_are_kept(capsys):
     assert code == 0 and json.loads(out)["depth"] == 0
     code, out, _ = run(capsys, "check", "right-intersect", "--s", "a", "--t", "a",
                        "--bound", "0")
-    assert code == 0
+    assert code == 2
     assert json.loads(out)["notes"][0] == "|Z| = 0 at edge cap 0"
 
 

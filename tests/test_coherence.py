@@ -311,18 +311,42 @@ def test_left_intersection_computes_one_normal_form_per_operand(monkeypatch):
 
     monkeypatch.setattr(nf, "normal_form_of_tree", counted)
     ab = tree_multiply(A, B)
-    # one pair per exit: S = aT, T = bS, the e-branch, and empty
+    # one pair per exit past the trunk test: S = aT, T = bS, the e-branch,
+    # and empty with comparable trunks (1 is a suffix of b)
     for S, T, exit_reached in (
         (ab, B, lambda r: r.generator == ab and r.left_factor_of_S == IDENTITY_TREE),
         (B, ab, lambda r: r.generator == ab and r.left_factor_of_T == IDENTITY_TREE),
         (tree_plus(A), tree_plus(B), lambda r: r.kind == "principal"
             and r.left_factor_of_T == r.left_factor_of_S != IDENTITY_TREE),
-        (A, B, lambda r: r.kind == "empty"),
+        (tree_plus(A), B, lambda r: r.kind == "empty" and not r.conclusive),
     ):
         seen.clear()
         res = co.left_ideal_intersection_FLAd(S, T)
         assert exit_reached(res), (S, T, res)
         assert len(seen) == 2 and set(seen) == {S, T}, (S, T, seen)
+
+
+def test_left_intersection_decides_incomparable_trunks_before_any_normal_form(monkeypatch):
+    seen = []
+    real_nf, real_mul = nf.normal_form_of_tree, co.tree_multiply
+    monkeypatch.setattr(nf, "normal_form_of_tree", lambda t: seen.append(t) or real_nf(t))
+    monkeypatch.setattr(co, "tree_multiply", lambda x, y: seen.append((x, y)) or real_mul(x, y))
+    res = co.left_ideal_intersection_FLAd(A, B)  # neither of a, b is a suffix of the other
+    assert (res.kind, res.generator, res.conclusive, res.note) == ("empty", None, True, "")
+    assert seen == []
+
+
+def test_left_intersection_matches_the_normal_form_first_oracle(flad_ideals_pool):
+    """Every field equals the oracle's on every pair of the flad-ideals pool,
+    which holds all 80^2 pairs of left-Ehresmann trees of <= 3 edges."""
+    pool = flad_ideals_pool
+    assert len(pool) == 80 + 24
+    kinds = set()
+    for S, T in itertools.product(pool, repeat=2):
+        got = co.left_ideal_intersection_FLAd(S, T)
+        assert got == coherence_oracle.left_ideal_intersection_FLAd(S, T), (S, T)
+        kinds.add((got.kind, got.conclusive))
+    assert kinds == {("principal", True), ("empty", True), ("empty", False)}
 
 
 def test_left_intersection_cofactors_reach_the_generator():
