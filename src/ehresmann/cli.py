@@ -218,7 +218,8 @@ def _right_intersect(s="a", t="b", bound=None):
     The verdict is pass, with no search, when neither trunk word of S and T
     is a prefix of the other: the trunk of T A is trunk(T) trunk(A), so
     T A = S A' would make one trunk a prefix of the other, and TM n SM is
-    empty.  Otherwise it is inconclusive, since the search stops at its caps."""
+    empty.  Otherwise it is inconclusive, since the search stops at its caps,
+    or earlier at the enumeration budget."""
     S = eval_term(s, "flad")[1]
     T = eval_term(t, "flad")[1]
     cap = len(S.edges) + len(T.edges) + 4 if bound is None else _size("bound", bound)
@@ -226,10 +227,15 @@ def _right_intersect(s="a", t="b", bound=None):
     n = min(len(s_trunk), len(t_trunk))
     if s_trunk[:n] != t_trunk[:n]:
         return co.ConfigReport("pass", cap, [], [f"|Z| = 0 at edge cap {cap}"])
-    Z = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
-    notes = [f"|Z| = {len(Z)} at edge cap {cap}"] + [repr(v) for v in Z]
-    notes.append(f"trunks comparable; searched only under the caps: cofactors of at most {cap} "
-                 f"edges (factor_edges) and elements of at most {cap} edges (max_edges)")
+    caps = (f"cofactors of at most {cap} edges (factor_edges) and elements of at most {cap} "
+            "edges (max_edges)")
+    try:
+        Z = co.right_ideal_intersection_FLAd(S, T, max_edges=cap, factor_edges=cap)
+    except xtree.ResourceGuardError as err:
+        notes = [f"trunks comparable; the search under the caps stopped ({err}): {caps}"]
+    else:
+        notes = [f"|Z| = {len(Z)} at edge cap {cap}"] + [repr(v) for v in Z]
+        notes.append(f"trunks comparable; searched only under the caps: {caps}")
     return co.ConfigReport("inconclusive", cap, [], notes)
 
 

@@ -107,7 +107,7 @@ class SzElement(PSetElement):
             raise ValueError("set must contain 1 and the point")
 
     def to_json(self) -> dict:
-        return {"set": sorted(repr(e) for e in self.elems), "point": repr(self.point)}
+        return {"point": repr(self.point), "set": sorted(repr(e) for e in self.elems)}
 
 
 class _Top:

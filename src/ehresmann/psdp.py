@@ -119,8 +119,8 @@ class PSetElement:
     def to_json(self) -> dict:
         enc = self.base.element_to_json
         return {
-            "set": sorted((enc(e) for e in self.elems), key=repr),
             "point": enc(self.point),
+            "set": sorted((enc(e) for e in self.elems), key=repr),
         }
 
 
@@ -143,10 +143,8 @@ def sdp_inverse(p: PSetElement) -> PSetElement:
 
 
 def sdp_star(p: PSetElement) -> PSetElement:
-    """(Y, g)* = (g^-1 Y, 1); needs a group base."""
-    base = p.base
-    gi = base.invert(p.point)
-    return type(p)(base, frozenset(base.multiply(gi, e) for e in p.elems), base.identity())
+    """(Y, g)* = (g^-1 Y, 1) = ((Y, g)^-1)+; needs a group base."""
+    return sdp_plus(sdp_inverse(p))
 
 
 def sdp_plus(p: PSetElement) -> PSetElement:

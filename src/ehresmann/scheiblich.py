@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
-from . import words
+from . import words, xtree
 from .psdp import FreeGroup, PSetElement
 from .psdp import sdp_inverse as munn_inverse, sdp_plus as munn_plus, sdp_star as munn_star
 from .words import GroupWord
@@ -52,8 +52,8 @@ class MunnElement(PSetElement):
 
     def to_json(self) -> dict:
         return {
-            "set": sorted(words.format_group_word(g) for g in self.elems),
             "point": words.format_group_word(self.point),
+            "set": sorted(words.format_group_word(g) for g in self.elems),
         }
 
 
@@ -96,22 +96,16 @@ def munn_product(factors: Iterable[MunnElement]) -> MunnElement:
 
 def munn_of_tree(t) -> MunnElement:
     """The element an ``xtree.RawTree`` spells: each vertex's reduced word
-    from the start, pointed at the end's.  One BFS from the start gives a
-    vertex gmul(its parent's word, the edge's signed letter).  An input that
-    is not a tree raises ValueError."""
-    adj = [[] for _ in range(t.nv)]
-    for s, x, d in t.edges:
-        adj[s].append((d, ((x, 1),)))
-        adj[d].append((s, ((x, -1),)))
-    word, order = {t.start: words.GEMPTY}, [t.start]
-    for v in order:
-        for w, step in adj[v]:
-            if w not in word:
-                word[w] = words.gmul(word[v], step)
-                order.append(w)
-    if len(order) != t.nv or len(t.edges) != t.nv - 1:
-        raise ValueError(f"not a tree: {len(t.edges)} edges, {len(order)} of {t.nv} vertices reached")
-    return MunnElement(F, frozenset(word.values()), word[t.end])
+    from the start, pointed at the end's.  It folds over ``xtree``'s rooting
+    at the start: in BFS order a vertex's word is gmul(its parent's word,
+    the signed letter (label, orient) of its entry).  An input that is not
+    a tree raises ValueError."""
+    parent, up, _, order = xtree._rooted(xtree._adjacency(t), t.start)
+    word = [words.GEMPTY] * t.nv
+    for v in order[1:]:
+        lab, o, _ = up[v]
+        word[v] = words.gmul(word[parent[v]], ((lab, o),))
+    return MunnElement(F, frozenset(word), word[t.end])
 
 
 def munn_multiply(p: MunnElement, q: MunnElement) -> MunnElement:

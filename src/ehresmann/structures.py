@@ -48,7 +48,6 @@ class Structure:
     unary: Tuple[str, ...] = ("plus", "star", "inverse")
     idempotent: Optional[Callable[[Any], bool]] = None  # default: point is 1
     finish: Callable[[Any], Any] = _unchanged  # sub-monoid membership check
-    sort_keys: bool = True  # of the JSON rendering
 
     def mul(self, a, b):
         return getattr(self.module, self.prefix + "_multiply")(a, b)
@@ -99,7 +98,7 @@ class Structure:
         if fmt == "text":
             return repr(a)
         if fmt == "json":
-            return json.dumps(self.describe(a), indent=2, sort_keys=self.sort_keys)
+            return json.dumps(self.describe(a), indent=2)
         if fmt == "dot" and hasattr(a, "to_dot"):
             return a.to_dot()
         raise ValueError(f"format {fmt} not supported by model {self.name}")
@@ -268,8 +267,7 @@ def get_structure(name: str) -> Structure:
         n = int(digits)
         name = f"qn:{n}"
         ghe = {k: ex.qn_from_sdp(v, n) for k, v in ghe.items()}
-        return Structure(name, ex.qn_identity(n), _lookup(name, ghe), ex, "qn",
-                         sort_keys=False)
+        return Structure(name, ex.qn_identity(n), _lookup(name, ghe), ex, "qn")
     if name == "sdp:F":
         return semidirect(sch.F, name, generators(psdp.PSetElement))
     if name == "mm":

@@ -13,10 +13,12 @@ suffices); the restart-loop definition is kept in the tests as an oracle
 (``tests/prune_oracle.py``).  Every function here that needs the tree
 rooted at its start roots it in one BFS (``_rooted``), which records each
 vertex's parent edge, so the trunk is read up the parent pointers from the
-end.  ``prune`` builds codes only when its result branches: a pruned path
-is numbered in BFS order, which is then its preorder, and an input that
-is one directed start->end path is not rooted at all.  An input that is
-not a tree raises ValueError.
+end; ``scheiblich.munn_of_tree`` folds a tree over the same rooting.  An
+adjacency or rooted entry is (label, orient, vertex), orient +1 for an
+edge out of the vertex it is listed at.  ``prune`` builds codes only when
+its result branches: a pruned path is numbered in BFS order, which is then
+its preorder, and an input that is one directed start->end path is not
+rooted at all.  An input that is not a tree raises ValueError.
 ``trunk_factorization`` cuts a pruned tree into the idempotent bundles of
 branches at its trunk vertices without pruning again; the factorization
 that prunes every bundle is kept in ``tests/normalform_oracle.py``.
@@ -68,10 +70,10 @@ class RawTree:
 
     def to_json(self) -> dict:
         return {
-            "vertices": list(range(self.nv)),
             "edges": [{"from": s, "label": lab, "to": d} for s, lab, d in self.edges],
-            "start": self.start,
             "end": self.end,
+            "start": self.start,
+            "vertices": list(range(self.nv)),
         }
 
     def to_dot(self) -> str:
@@ -98,8 +100,9 @@ class XTree(RawTree):
     """A pruned tree in canonical numbering; construct via prune()."""
 
 
-def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
-    """adj[v] = list of (label, orient, other, edge_index); orient=+1 out of v.
+def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int]]]:
+    """adj[v] = list of (label, orient, vertex), one per edge at v: vertex is
+    the edge's other end, and orient is +1 when the edge leaves v.
 
     Raises ValueError unless there are nv - 1 edges (``_rooted`` checks
     that they connect every vertex, so that the input is a tree).
@@ -108,26 +111,26 @@ def _adjacency(t: RawTree) -> List[List[Tuple[str, int, int, int]]]:
     if e != t.nv - 1:
         problem = "not connected" if e < t.nv - 1 else "has a cycle"
         raise ValueError(f"not a tree ({problem}): {e} edges on {t.nv} vertices")
-    adj: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(t.nv)]
-    for i, (s, lab, d) in enumerate(t.edges):
-        adj[s].append((lab, 1, d, i))
-        adj[d].append((lab, -1, s, i))
+    adj: List[List[Tuple[str, int, int]]] = [[] for _ in range(t.nv)]
+    for s, lab, d in t.edges:
+        adj[s].append((lab, 1, d))
+        adj[d].append((lab, -1, s))
     return adj
 
 
 def _rooted(adj, start: int):
     """Root the tree at `start` in one BFS: (parent, up, children, order).
 
-    children[v] lists v's entries (label, orient, child, edge index) of adj
-    that lead away from the start, and up[v] is v's own entry in the list of
-    its parent parent[v]; at the start up[v] is None and parent[v] is -1.
+    children[v] lists v's entries (label, orient, vertex) of adj that lead
+    away from the start, and up[v] is v's own entry in the list of its
+    parent parent[v]; at the start up[v] is None and parent[v] is -1.
     order is the BFS order, parents first.  Raises ValueError when some
     vertex is not reached.
     """
     n = len(adj)
     parent = [-1] * n
-    up: List[Optional[Tuple[str, int, int, int]]] = [None] * n
-    children: List[List[Tuple[str, int, int, int]]] = [[] for _ in range(n)]
+    up: List[Optional[Tuple[str, int, int]]] = [None] * n
+    children: List[List[Tuple[str, int, int]]] = [[] for _ in range(n)]
     order = [start]
     seen = bytearray(n)
     seen[start] = 1
@@ -146,9 +149,9 @@ def _rooted(adj, start: int):
     return parent, up, children, order
 
 
-def _trunk(t: RawTree, parent, up) -> List[Tuple[str, int, int, int]]:
-    """The trunk's edges as rooted entries (label, orient, vertex, edge index),
-    read up the parent pointers from the end back to the start."""
+def _trunk(t: RawTree, parent, up) -> List[Tuple[str, int, int]]:
+    """The trunk's edges as rooted entries (label, orient, vertex), read up
+    the parent pointers from the end back to the start."""
     path = []
     v = t.end
     while v != t.start:
@@ -159,17 +162,6 @@ def _trunk(t: RawTree, parent, up) -> List[Tuple[str, int, int, int]]:
         v = parent[v]
     path.reverse()
     return path
-
-
-def trunk_path(t: RawTree) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
-    """The directed start->end path: (word, edge indices, vertex sequence)."""
-    parent, up, _, _ = _rooted(_adjacency(t), t.start)
-    path = _trunk(t, parent, up)
-    return (
-        tuple([k[0] for k in path]),
-        tuple([k[3] for k in path]),
-        (t.start,) + tuple([k[2] for k in path]),
-    )
 
 
 _LEAF = (0, ())
@@ -190,11 +182,11 @@ def _codes(order, children, end: int) -> list:
         if not kids:
             code[v] = _END_LEAF if v == end else _LEAF
         elif len(kids) == 1:
-            lab, o, w, _ = kids[0]
+            lab, o, w = kids[0]
             code[v] = (1 if v == end else 0, ((lab, o, code[w]),))
         else:
             kids.sort(key=lambda k: (k[0], k[1], code[k[2]]))
-            code[v] = (1 if v == end else 0, tuple([(lab, o, code[w]) for lab, o, w, _ in kids]))
+            code[v] = (1 if v == end else 0, tuple([(lab, o, code[w]) for lab, o, w in kids]))
     return code
 
 
@@ -226,7 +218,7 @@ def _numbered(cls, pre: List[int], end: int, children, newid: List[int]):
     edges = [
         (newid[v], lab, newid[w]) if o == 1 else (newid[w], lab, newid[v])
         for v in pre
-        for lab, o, w, _ in children[v]
+        for lab, o, w in children[v]
     ]
     edges.sort()
     return cls(len(pre), tuple(edges), 0, newid[end])
@@ -278,12 +270,12 @@ def _simulation(adj, children):
                 ans = None
             call = None
             while k < len(kids):
-                lab, o, c, _ = kids[k]
+                lab, o, c = kids[k]
                 if cands is None:
                     table = step[w]
                     if table is None:
                         table = step[w] = {}
-                        for l2, o2, x, _ in adj[w]:
+                        for l2, o2, x in adj[w]:
                             if (l2, o2) in table:
                                 table[l2, o2].append(x)
                             else:
@@ -406,10 +398,10 @@ def prune(t: RawTree) -> XTree:
         # the edge from v to its parent, seen from v, is (u[0], -u[1])
         u = up[v]
         removed = False
-        for lab, o, r, _ in kids:
+        for lab, o, r in kids:
             if on_trunk[r]:
                 continue
-            witnesses = [w for l2, o2, w, _ in kids if l2 == lab and o2 == o and w != r and not dead[w]]
+            witnesses = [w for l2, o2, w in kids if l2 == lab and o2 == o and w != r and not dead[w]]
             if u is not None and u[0] == lab and u[1] == -o:
                 witnesses.append(parent[v])
             if not witnesses:
@@ -502,24 +494,30 @@ def is_idempotent(t: XTree) -> bool:
     return t.start == t.end
 
 
-def directed_reachable(t: RawTree) -> FrozenSet[int]:
+def _directed_depths(t: RawTree) -> Dict[int, int]:
+    """Directed distance from the start to each vertex it reaches: one BFS
+    over out-edges that enters each vertex once, so a directed cycle ends it."""
     out: List[List[int]] = [[] for _ in range(t.nv)]
     for s, _, d in t.edges:
         out[s].append(d)
-    seen = {t.start}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
+    depth = {t.start: 0}
+    order = [t.start]
+    for v in order:
+        dw = depth[v] + 1
         for w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+            if w not in depth:
+                depth[w] = dw
+                order.append(w)
+    return depth
+
+
+def directed_reachable(t: RawTree) -> FrozenSet[int]:
+    return frozenset(_directed_depths(t))
 
 
 def is_left_ehresmann(t: RawTree) -> bool:
     """Every vertex reachable from the start by a directed path."""
-    return len(directed_reachable(t)) == t.nv
+    return len(_directed_depths(t)) == t.nv
 
 
 def leq_nat(e: XTree, f: XTree) -> bool:
@@ -529,17 +527,7 @@ def leq_nat(e: XTree, f: XTree) -> bool:
 
 def depth_directed(t: RawTree) -> int:
     """Longest directed path starting at start."""
-    out: List[List[int]] = [[] for _ in range(t.nv)]
-    for s, _, d in t.edges:
-        out[s].append(d)
-    # in a tree the directed path from start to a vertex is unique
-    depth = {t.start: 0}
-    order = [t.start]
-    for v in order:
-        for w in out[v]:
-            depth[w] = depth[v] + 1
-            order.append(w)
-    return max(depth.values())
+    return max(_directed_depths(t).values())
 
 
 def label_set(t: RawTree) -> FrozenSet[str]:
@@ -547,7 +535,8 @@ def label_set(t: RawTree) -> FrozenSet[str]:
 
 
 def trunk_word(t: RawTree) -> Word:
-    return trunk_path(t)[0]
+    parent, up, _, _ = _rooted(_adjacency(t), t.start)
+    return tuple([k[0] for k in _trunk(t, parent, up)])
 
 
 def trunk_factorization(t: XTree) -> Tuple[Tuple[XTree, ...], Word]:

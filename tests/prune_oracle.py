@@ -10,8 +10,8 @@ with.  ``ehresmann.xtree.prune`` must agree with it on every input.
 
 The oracle roots trees with its own helpers: ``_rooted_children`` is a
 plain BFS from the start, and ``trunk_path`` finds each trunk edge by
-scanning the parent's children.  ``ehresmann.xtree.trunk_path`` must agree
-with it.
+scanning the parent's children.  ``ehresmann.xtree.trunk_word`` must agree
+with its word.
 """
 
 from __future__ import annotations

@@ -182,6 +182,22 @@ def test_check_right_intersect(capsys, monkeypatch):
     assert json.loads(out)["notes"] == ["|Z| = 0 at edge cap 8"]
 
 
+def test_right_intersect_over_budget_is_inconclusive(capsys, monkeypatch):
+    # "a b" against itself has comparable trunks, and its default cap of 8
+    # cofactor edges exceeds the enumeration budget after about 15 s
+    def search(*a, **k):
+        raise xtree.ResourceGuardError("tree enumeration exceeded budget 500000")
+
+    monkeypatch.setattr(co, "right_ideal_intersection_FLAd", search)
+    code, out, err = run(capsys, "check", "right-intersect", "--s", "a b", "--t", "a b")
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive" and report["depth"] == 8
+    [note] = report["notes"]
+    assert "budget 500000" in note
+    assert "at most 8 edges (factor_edges)" in note and "at most 8 edges (max_edges)" in note
+
+
 def test_check_mm_fi_iso(capsys):
     assert run(capsys, "check", "mm-fi-iso", "--bound", "2")[0] == 0
 

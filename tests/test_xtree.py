@@ -68,7 +68,7 @@ def test_star_and_plus_are_idempotents():
 def test_trunk_requires_directed_path():
     backward = RawTree(2, ((1, "a", 0),), 0, 1)
     with pytest.raises(ValueError):
-        xtree.trunk_path(backward)
+        xtree.trunk_word(backward)
 
 
 def test_variety_identities_random():
@@ -159,6 +159,13 @@ def test_depths():
     t = tree_multiply(A, tree_plus(tree_multiply(B, A)))
     assert depth_directed(t) == 3
     assert depth_directed(tree_star(A)) == 0
+
+
+def test_the_directed_walk_ends_on_a_directed_cycle():
+    cycle = RawTree(2, ((0, "a", 1), (1, "b", 0)), 0, 0)
+    assert depth_directed(cycle) == 1
+    assert xtree.directed_reachable(cycle) == {0, 1}
+    assert xtree.is_left_ehresmann(cycle)
 
 
 def test_trunk_factorization_recomposes():
